@@ -135,18 +135,47 @@ pub fn rwait_stg() -> Stg {
 /// [`wait_stg`] (the behavioural difference appears only when the input
 /// is high at arming, which the idealised environment excludes).
 pub fn wait01_stg() -> Stg {
-    let mut stg = wait_stg();
-    stg = Stg::parse_g(&stg.to_g().replace(".model wait", ".model wait01"))
-        .expect("round trip of a known-good spec");
-    stg
+    Stg::parse_g(
+        "\
+.model wait01
+.inputs sig ri
+.outputs ao
+.graph
+ri+ sig+
+sig+ ao+
+ao+ ri- sig-
+ri- ao-
+ao- ri+
+sig- ri+
+.marking { <ao-,ri+> <sig-,ri+> }
+.end
+",
+    )
+    .expect("known-good spec")
 }
 
 /// STG of the WAIT10 element with the input initially high — the edge
 /// wait coincides with the level wait for low, so the protocol equals
 /// [`wait0_stg`].
 pub fn wait10_stg() -> Stg {
-    Stg::parse_g(&wait0_stg().to_g().replace(".model wait0", ".model wait10"))
-        .expect("round trip of a known-good spec")
+    Stg::parse_g(
+        "\
+.model wait10
+.inputs sig ri
+.outputs ao
+.graph
+ri+ sig-
+sig- ao+
+ao+ ri- sig+
+ri- ao-
+ao- ri+
+sig+ ri+
+.marking { <ao-,ri+> <sig+,ri+> }
+.initial_state sig
+.end
+",
+    )
+    .expect("known-good spec")
 }
 
 /// STG of the RWAIT0 element: [`rwait_stg`]'s protocol with the input

@@ -196,15 +196,20 @@ ack- req+
 
     /// Minimal scoped temp file (no external crate).
     mod tempfile {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+
         pub struct TempFile {
             pub path: std::path::PathBuf,
         }
         impl TempFile {
             pub fn with_contents(text: &str) -> TempFile {
+                // Tests run in parallel, often on the same spec text: a
+                // per-file counter keeps their paths apart.
+                static NEXT: AtomicUsize = AtomicUsize::new(0);
                 let path = std::env::temp_dir().join(format!(
                     "a4a_cli_test_{}_{}.g",
                     std::process::id(),
-                    text.len()
+                    NEXT.fetch_add(1, Ordering::Relaxed)
                 ));
                 std::fs::write(&path, text).expect("write temp spec");
                 TempFile { path }

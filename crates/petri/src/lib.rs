@@ -8,6 +8,8 @@
 //!   consuming/producing arcs and non-consuming *read arcs*;
 //! * [`Marking`] — token vectors with the standard enabledness and firing
 //!   rule;
+//! * [`StateSpace`] — the one breadth-first explorer every explicit
+//!   state space of the flow is built with;
 //! * [`ReachabilityGraph`] — explicit (bounded) state-space exploration,
 //!   deadlock detection and boundedness checks.
 //!
@@ -38,11 +40,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod explore;
 mod invariant;
 mod marking;
 mod net;
 mod reach;
 
+pub use explore::{StateIndex, StateSpace, Step};
 pub use invariant::PlaceInvariant;
 pub use marking::Marking;
 pub use net::{

@@ -89,6 +89,7 @@ impl Marking {
     ///
     /// Panics if `place` does not belong to the net this marking was built
     /// for.
+    #[inline]
     pub fn tokens(&self, place: PlaceId) -> u32 {
         let i = place.index();
         match &self.repr {

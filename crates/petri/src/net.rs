@@ -173,6 +173,7 @@ impl PetriNet {
     ///
     /// A transition is enabled when every consumed place holds at least the
     /// arc weight and every read place holds at least the read weight.
+    #[inline]
     pub fn is_enabled(&self, t: TransitionId, marking: &Marking) -> bool {
         let tr = self.transition(t);
         tr.consume.iter().all(|&(p, w)| marking.tokens(p) >= w)

@@ -1,8 +1,7 @@
 use std::error::Error;
 use std::fmt;
 
-use a4a_rt::IdTable;
-
+use crate::explore::{StateIndex, StateSpace, Step};
 use crate::{Marking, PetriNet, TransitionId};
 
 /// Index of a state (marking) within a [`ReachabilityGraph`].
@@ -94,122 +93,57 @@ impl Error for ExploreError {}
 /// assert_eq!(reach.deadlocks().len(), 1);
 /// # Ok::<(), a4a_petri::ExploreError>(())
 /// ```
-#[derive(Debug, Clone)]
-pub struct ReachabilityGraph {
-    states: Vec<Marking>,
-    /// Outgoing edges per state: (fired transition, successor).
-    successors: Vec<Vec<(TransitionId, StateId)>>,
+pub type ReachabilityGraph = StateSpace<Marking, TransitionId, StateId>;
+
+impl StateIndex for StateId {
+    fn from_index(index: u32) -> Self {
+        StateId(index)
+    }
+
+    fn index(self) -> usize {
+        self.0 as usize
+    }
 }
 
 impl ReachabilityGraph {
-    /// Number of distinct reachable markings.
-    pub fn state_count(&self) -> usize {
-        self.states.len()
-    }
-
-    /// Number of edges (firings) in the graph.
-    pub fn edge_count(&self) -> usize {
-        self.successors.iter().map(Vec::len).sum()
-    }
-
     /// The marking of `state`.
     ///
     /// # Panics
     ///
     /// Panics if `state` does not belong to this graph.
     pub fn marking(&self, state: StateId) -> &Marking {
-        &self.states[state.index()]
-    }
-
-    /// Outgoing edges of `state` as (transition, successor) pairs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `state` does not belong to this graph.
-    pub fn successors(&self, state: StateId) -> &[(TransitionId, StateId)] {
-        &self.successors[state.index()]
-    }
-
-    /// Iterates over all state ids in discovery order.
-    pub fn state_ids(&self) -> impl Iterator<Item = StateId> {
-        (0..self.states.len() as u32).map(StateId)
+        self.state(state)
     }
 
     /// States with no enabled transitions.
     pub fn deadlocks(&self) -> Vec<StateId> {
         self.state_ids()
-            .filter(|s| self.successors[s.index()].is_empty())
+            .filter(|&s| self.successors(s).is_empty())
             .collect()
     }
 
     /// Returns `true` when every reachable marking is 1-bounded.
     pub fn is_safe(&self) -> bool {
-        self.states.iter().all(Marking::is_safe)
+        self.states().iter().all(Marking::is_safe)
     }
 
     /// The maximum token count observed in any place over all reachable
     /// markings (the net's bound).
     pub fn bound(&self) -> u32 {
-        self.states
+        self.states()
             .iter()
             .flat_map(Marking::iter)
             .max()
             .unwrap_or(0)
     }
-
-    /// Finds a shortest firing sequence from the initial state to `target`.
-    ///
-    /// Returns the transitions fired along the way; empty for the initial
-    /// state itself. Useful for producing violation traces.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `target` does not belong to this graph.
-    pub fn trace_to(&self, target: StateId) -> Vec<TransitionId> {
-        assert!(target.index() < self.states.len(), "unknown state {target}");
-        // BFS from the initial state recording parents.
-        let mut parent: Vec<Option<(StateId, TransitionId)>> = vec![None; self.states.len()];
-        let mut visited = vec![false; self.states.len()];
-        let mut queue = std::collections::VecDeque::new();
-        visited[StateId::INITIAL.index()] = true;
-        queue.push_back(StateId::INITIAL);
-        while let Some(s) = queue.pop_front() {
-            if s == target {
-                break;
-            }
-            for &(t, succ) in &self.successors[s.index()] {
-                if !visited[succ.index()] {
-                    visited[succ.index()] = true;
-                    parent[succ.index()] = Some((s, t));
-                    queue.push_back(succ);
-                }
-            }
-        }
-        let mut trace = Vec::new();
-        let mut cur = target;
-        while let Some((prev, t)) = parent[cur.index()] {
-            trace.push(t);
-            cur = prev;
-        }
-        trace.reverse();
-        trace
-    }
 }
-
-/// Frontiers narrower than this are expanded inline: the per-state work
-/// is a handful of vector ops, so shipping one or two states to the
-/// pool costs more than it saves.
-const PAR_FRONTIER_MIN: usize = 8;
 
 impl PetriNet {
     /// Explores the state space breadth-first from the initial marking,
     /// on the global thread pool ([`a4a_rt::Pool::global`]).
     ///
     /// State numbering is breadth-first discovery order and is
-    /// *identical for every thread count*: each BFS level occupies a
-    /// contiguous id range, levels are expanded in parallel but merged
-    /// sequentially in (parent id, transition id) order — exactly the
-    /// order the sequential loop discovers successors in.
+    /// *identical for every thread count* (see [`StateSpace::explore`]).
     ///
     /// # Errors
     ///
@@ -259,117 +193,35 @@ impl PetriNet {
         initial: Marking,
         max_states: usize,
     ) -> Result<ReachabilityGraph, ExploreError> {
-        if max_states > u32::MAX as usize {
-            return Err(ExploreError::LimitOverflow { limit: max_states });
-        }
-        // Interner: markings live once, in `states`; the table maps
-        // fx-hash → StateId and equality checks go through the arena.
-        let mut table = IdTable::new();
-        let mut states: Vec<Marking> = Vec::new();
-        let mut successors: Vec<Vec<(TransitionId, StateId)>> = Vec::new();
-
-        table.insert(initial.fx_hash(), 0);
-        states.push(initial);
-        successors.push(Vec::new());
-
-        // Level-synchronised BFS: states[level_start..level_end] is one
-        // completed level; expand it (in parallel when wide enough),
-        // then merge the per-state successor lists in id order. The
-        // merge — and therefore numbering, edge order, and the point at
-        // which the state limit or a token overflow trips — replays the
-        // sequential loop exactly.
-        let mut level_start = 0usize;
-        // Sequential expansion reuses one successor scratch buffer for
-        // the whole run; the parallel path necessarily materialises one
-        // list per state to ship results between threads.
-        let mut scratch: Vec<Firing> = Vec::new();
-        while level_start < states.len() {
-            let level_end = states.len();
-            let expand = |marking: &Marking, out: &mut Vec<Firing>| {
+        let expand =
+            |marking: &Marking, out: &mut Vec<Step<Marking, TransitionId, ExploreError>>| {
                 for t in self.transition_ids() {
                     if self.is_enabled(t, marking) {
-                        out.push((t, self.try_fire(t, marking)));
+                        out.push((t, self.try_fire_named(t, marking)));
                     }
                 }
             };
-            if pool.threads() <= 1 || level_end - level_start < PAR_FRONTIER_MIN {
-                for i in level_start..level_end {
-                    scratch.clear();
-                    expand(&states[i], &mut scratch);
-                    let firings = std::mem::take(&mut scratch);
-                    self.merge_firings(
-                        StateId(i as u32),
-                        firings.iter().cloned(),
-                        max_states,
-                        &mut table,
-                        &mut states,
-                        &mut successors,
-                    )?;
-                    scratch = firings;
-                }
-            } else {
-                let expanded: Vec<Vec<Firing>> =
-                    pool.par_map_range(level_start..level_end, |i| {
-                        let mut out = Vec::new();
-                        expand(&states[i], &mut out);
-                        out
-                    });
-                for (offset, firings) in expanded.into_iter().enumerate() {
-                    self.merge_firings(
-                        StateId((level_start + offset) as u32),
-                        firings.into_iter(),
-                        max_states,
-                        &mut table,
-                        &mut states,
-                        &mut successors,
-                    )?;
-                }
-            }
-            level_start = level_end;
-        }
-        Ok(ReachabilityGraph { states, successors })
+        StateSpace::explore(pool, initial, max_states, expand, |_, _, _, e| Err(e))
     }
 
-    /// Merges one state's firing outcomes into the graph in transition
-    /// order — the single code path both the sequential and parallel
-    /// engines fund their determinism contract with.
-    fn merge_firings(
+    /// [`PetriNet::try_fire`] with an overflow reported by place and
+    /// transition name, as every explorer surfaces it.
+    ///
+    /// # Errors
+    ///
+    /// [`ExploreError::TokenOverflow`] on a token-counter overflow.
+    pub fn try_fire_named(
         &self,
-        current: StateId,
-        firings: impl Iterator<Item = Firing>,
-        max_states: usize,
-        table: &mut IdTable,
-        states: &mut Vec<Marking>,
-        successors: &mut Vec<Vec<(TransitionId, StateId)>>,
-    ) -> Result<(), ExploreError> {
-        for (t, outcome) in firings {
-            let next = outcome.map_err(|e| ExploreError::TokenOverflow {
+        t: TransitionId,
+        marking: &Marking,
+    ) -> Result<Marking, ExploreError> {
+        self.try_fire(t, marking)
+            .map_err(|e| ExploreError::TokenOverflow {
                 place: self.place(e.place).name.clone(),
                 transition: self.transition(e.transition).name.clone(),
-            })?;
-            let hash = next.fx_hash();
-            let next_id = match table.get(hash, |id| states[id as usize] == next) {
-                Some(id) => StateId(id),
-                None => {
-                    if states.len() >= max_states {
-                        return Err(ExploreError::StateLimit { limit: max_states });
-                    }
-                    let id = StateId(states.len() as u32);
-                    table.insert(hash, id.0);
-                    states.push(next);
-                    successors.push(Vec::new());
-                    id
-                }
-            };
-            successors[current.index()].push((t, next_id));
-        }
-        Ok(())
+            })
     }
 }
-
-/// One enabled firing out of a frontier state: the transition plus the
-/// successor marking or the token overflow it commits.
-type Firing = (TransitionId, Result<Marking, crate::TokenOverflow>);
 
 #[cfg(test)]
 mod tests {

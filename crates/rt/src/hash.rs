@@ -185,7 +185,7 @@ impl IdTable {
             return None;
         }
         let mask = self.entries.len() - 1;
-        let mut idx = hash as usize & mask;
+        let mut idx = slot(hash, mask);
         loop {
             let (h, id) = self.entries[idx];
             if id == EMPTY {
@@ -213,7 +213,7 @@ impl IdTable {
             self.grow_to(want);
         }
         let mask = self.entries.len() - 1;
-        let mut idx = hash as usize & mask;
+        let mut idx = slot(hash, mask);
         while self.entries[idx].1 != EMPTY {
             idx = (idx + 1) & mask;
         }
@@ -238,13 +238,21 @@ impl IdTable {
             if id == EMPTY {
                 continue;
             }
-            let mut idx = h as usize & mask;
+            let mut idx = slot(h, mask);
             while self.entries[idx].1 != EMPTY {
                 idx = (idx + 1) & mask;
             }
             self.entries[idx] = (h, id);
         }
     }
+}
+
+/// The home slot of `hash` in a table of `mask + 1` slots: FxHash ends
+/// in a multiply, so only its high bits mix the whole input (the low
+/// bits of a packed marking's hash see only its first places).
+#[inline]
+fn slot(hash: u64, mask: usize) -> usize {
+    hash.rotate_left(26) as usize & mask
 }
 
 /// Smallest power-of-two slot count keeping `ids` below 7/8 load.
@@ -342,6 +350,24 @@ mod tests {
         assert_eq!(table.get(fx_hash_one(&1u8), |_| true), None);
         table.insert(fx_hash_one(&2u8), 0);
         assert_eq!(table.len(), 1);
+    }
+
+    #[test]
+    fn slots_spread_keys_that_differ_only_in_high_bits() {
+        // Keys like a packed marking whose low places never change: the
+        // low hash bits coincide, so the slot must come from the high
+        // ones or every key lands in one probe run.
+        let mut table = IdTable::new();
+        for k in 0..4096u64 {
+            table.insert(fx_hash_one(&(k << 32)), k as u32);
+        }
+        let mut longest = 0;
+        let mut run = 0;
+        for &(_, id) in &table.entries {
+            run = if id == EMPTY { 0 } else { run + 1 };
+            longest = longest.max(run);
+        }
+        assert!(longest <= 16, "longest occupied probe run {longest}");
     }
 
     #[test]

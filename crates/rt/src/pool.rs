@@ -314,7 +314,13 @@ impl Pool {
 
 impl Drop for Pool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
+        {
+            // Set the flag under the queue lock: a worker checks it under
+            // the same lock before waiting, so it either sees the flag or
+            // is already waiting when the notification goes out.
+            let _queue = self.shared.queue.lock().unwrap();
+            self.shared.shutdown.store(true, Ordering::Release);
+        }
         self.shared.work.notify_all();
         for w in self.workers.drain(..) {
             let _ = w.join();

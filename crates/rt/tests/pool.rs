@@ -186,3 +186,27 @@ fn results_are_identical_across_pool_sizes() {
         assert_eq!(got, baseline, "t{threads}");
     }
 }
+
+#[test]
+fn pools_shut_down_without_hanging() {
+    // A worker between its shutdown check and its wait must still be
+    // woken by `Drop for Pool`, or `join` blocks forever. The window is
+    // narrow: 20 000 short-lived pools hung the unlocked version in 5 of
+    // 6 runs. A watchdog turns a hang into a failure.
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let churn = std::thread::spawn(move || {
+        for i in 0..20_000u64 {
+            let pool = Pool::new(2 + (i % 3) as usize);
+            let got = pool.par_map_range(0..4, |j| j as u64 + i);
+            assert_eq!(got, (0..4).map(|j| j + i).collect::<Vec<u64>>());
+            drop(pool);
+        }
+        done_tx.send(()).expect("watchdog is waiting");
+    });
+    let outcome = done_rx.recv_timeout(std::time::Duration::from_secs(120));
+    assert!(
+        !matches!(outcome, Err(std::sync::mpsc::RecvTimeoutError::Timeout)),
+        "creating and dropping pools hung (lost shutdown wake-up)"
+    );
+    churn.join().expect("pool churn panicked");
+}

@@ -7,7 +7,7 @@
 //! input in the other); the composed signal keeps the driving side's
 //! kind.
 
-use std::collections::HashMap;
+use std::collections::HashSet;
 
 use a4a_petri::{NetBuilder, PlaceId, TransitionId};
 
@@ -123,15 +123,17 @@ impl Stg {
 
         // 3. Transitions.
         let mut labels: Vec<Label> = Vec::new();
-        let mut name_counts: HashMap<String, u32> = HashMap::new();
-        let fresh_name = |base: String, counts: &mut HashMap<String, u32>| -> String {
-            let n = counts.entry(base.clone()).or_insert(0);
-            *n += 1;
-            if *n == 1 {
-                base
-            } else {
-                format!("{base}.{n}")
+        // Repeated names take the `/n` instance suffix that the `.g`
+        // parser and `StgBuilder` use.
+        let mut used_names: HashSet<String> = HashSet::new();
+        let fresh_name = |base: String, used: &mut HashSet<String>| -> String {
+            let mut name = base.clone();
+            let mut n = 1;
+            while !used.insert(name.clone()) {
+                n += 1;
+                name = format!("{base}/{n}");
             }
+            name
         };
         let is_shared_a = |t: TransitionId| -> Option<(SignalId, Polarity)> {
             match self.label(t) {
@@ -171,7 +173,7 @@ impl Stg {
                     polarity: e.polarity,
                 }),
             };
-            let name = fresh_name(self.transition_name(t), &mut name_counts);
+            let name = fresh_name(self.transition_name(t), &mut used_names);
             let nt = net.transition(name);
             labels.push(label);
             add_arcs(&mut net, nt, self, t, &places_a);
@@ -190,7 +192,7 @@ impl Stg {
                     polarity: e.polarity,
                 }),
             };
-            let name = fresh_name(other.transition_name(t), &mut name_counts);
+            let name = fresh_name(other.transition_name(t), &mut used_names);
             let nt = net.transition(name);
             labels.push(label);
             add_arcs(&mut net, nt, other, t, &places_b);
@@ -213,7 +215,7 @@ impl Stg {
                     signal: map_a[sig_a.index()],
                     polarity: pol_a,
                 });
-                let name = fresh_name(self.transition_name(ta), &mut name_counts);
+                let name = fresh_name(self.transition_name(ta), &mut used_names);
                 let nt = net.transition(name);
                 labels.push(label);
                 add_arcs(&mut net, nt, self, ta, &places_a);

@@ -1,6 +1,8 @@
 use std::error::Error;
 use std::fmt;
 
+use a4a_petri::ExploreError;
+
 /// Errors raised while building, parsing, or exploring an STG.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StgError {
@@ -76,6 +78,18 @@ impl fmt::Display for StgError {
 }
 
 impl Error for StgError {}
+
+impl From<ExploreError> for StgError {
+    fn from(e: ExploreError) -> Self {
+        match e {
+            ExploreError::StateLimit { limit } => StgError::StateLimit { limit },
+            ExploreError::LimitOverflow { limit } => StgError::LimitOverflow { limit },
+            ExploreError::TokenOverflow { place, transition } => {
+                StgError::TokenOverflow { place, transition }
+            }
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {

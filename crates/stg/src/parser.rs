@@ -9,7 +9,7 @@
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
-use a4a_petri::{NetBuilder, PlaceId, TransitionId};
+use a4a_petri::{Marking, NetBuilder, PlaceId, StateSpace, Step, TransitionId};
 
 use crate::{Label, Polarity, Signal, SignalId, SignalKind, Stg, StgError};
 
@@ -18,9 +18,11 @@ impl Stg {
     ///
     /// # Errors
     ///
-    /// Returns [`StgError::Parse`] on malformed input and
+    /// Returns [`StgError::Parse`] on malformed input,
     /// [`StgError::StateLimit`] if initial-value inference has to explore
-    /// more than an internal budget of markings.
+    /// more than an internal budget of markings, and
+    /// [`StgError::TokenOverflow`] if a firing explored there overflows a
+    /// place's token counter.
     ///
     /// # Examples
     ///
@@ -50,25 +52,21 @@ impl Stg {
     ///
     /// Implicit places (single producer, single consumer, generated by
     /// [`crate::StgBuilder::connect`]) are folded back into direct
-    /// transition–transition lines; other places appear explicitly with
-    /// sanitised names.
+    /// transition–transition lines, one per transition pair; other places
+    /// appear explicitly with sanitised names.
     pub fn to_g(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, ".model {}", sanitise(&self.name));
-        for (dir, kind) in [
-            (".inputs", SignalKind::Input),
-            (".outputs", SignalKind::Output),
-            (".internal", SignalKind::Internal),
-        ] {
-            let names: Vec<&str> = self
-                .signals
-                .iter()
-                .filter(|s| s.kind == kind)
-                .map(|s| s.name.as_str())
-                .collect();
-            if !names.is_empty() {
-                let _ = writeln!(out, "{dir} {}", names.join(" "));
-            }
+        // One directive per run of same-kind signals keeps the signal
+        // order, and with it every state code, through `parse_g`.
+        for run in self.signals.chunk_by(|a, b| a.kind == b.kind) {
+            let dir = match run[0].kind {
+                SignalKind::Input => ".inputs",
+                SignalKind::Output => ".outputs",
+                SignalKind::Internal => ".internal",
+            };
+            let names: Vec<&str> = run.iter().map(|s| s.name.as_str()).collect();
+            let _ = writeln!(out, "{dir} {}", names.join(" "));
         }
         let dummies: Vec<String> = self
             .net
@@ -103,14 +101,38 @@ impl Stg {
                 readers[p.index()].push(t);
             }
         }
+        // Two rules keep the round trip exact. A `.g` file names one
+        // implicit place per (producer, consumer) pair, so later places of
+        // a pair stay explicit. And the parser numbers transitions by
+        // first appearance while lines go out in transition order, so a
+        // place whose consumer would appear ahead of its turn stays
+        // explicit too: transition ids, and with them state numbering,
+        // survive `parse_g`.
         let mut implicit = vec![false; np];
-        for p in self.net.place_ids() {
-            let i = p.index();
-            implicit[i] = producers[i].len() == 1
-                && consumers[i].len() == 1
-                && readers[i].is_empty()
-                && !weighted[i]
-                && self.net.place(p).initial_tokens <= 1;
+        let mut folded = Vec::new(); // consumers `t` has an implicit place to
+        let mut appeared = 0; // transitions 0..appeared are named so far
+        for t in self.net.transition_ids() {
+            let produced = self.net.transition(t).produced();
+            if t.index() == appeared && !produced.is_empty() {
+                appeared += 1;
+            }
+            folded.clear();
+            for &(p, _) in produced {
+                let i = p.index();
+                implicit[i] = consumers[i].len() == 1
+                    && producers[i].len() == 1
+                    && readers[i].is_empty()
+                    && !weighted[i]
+                    && self.net.place(p).initial_tokens <= 1
+                    && consumers[i][0].index() <= appeared
+                    && !folded.contains(&consumers[i][0]);
+                if implicit[i] {
+                    folded.push(consumers[i][0]);
+                    if consumers[i][0].index() == appeared {
+                        appeared += 1;
+                    }
+                }
+            }
         }
 
         // Adjacency lines. For each transition: direct successors through
@@ -564,49 +586,51 @@ fn parse_edge_name(
 /// Infers the initial value of each signal from the first reachable edge:
 /// a first-seen rising edge means the signal started low, and vice versa.
 /// Signals with no reachable edge default to low.
+///
+/// A state is a (marking, parity) pair, where parity bit `i` records
+/// whether signal `i` flipped an odd number of times. "First seen" is
+/// breadth-first discovery order: (state id, transition id) over the
+/// explored graph, which runs on the global pool.
 fn infer_initial_values(
     net: &a4a_petri::PetriNet,
     labels: &[Label],
     signals: &mut [Signal],
 ) -> Result<(), StgError> {
     const BUDGET: usize = 200_000;
-    let mut inferred: Vec<Option<bool>> = vec![None; signals.len()];
-    // Explore (marking, toggle-parity) pairs; parity tracks how many times
-    // each signal flipped relative to the initial state.
-    let mut seen: a4a_rt::FxHashSet<(a4a_petri::Marking, u64)> =
-        a4a_rt::FxHashSet::default();
-    let mut queue = std::collections::VecDeque::new();
-    let start = (net.initial_marking(), 0u64);
-    seen.insert(start.clone());
-    queue.push_back(start);
-    while let Some((marking, parity)) = queue.pop_front() {
-        if seen.len() > BUDGET {
-            return Err(StgError::StateLimit { limit: BUDGET });
-        }
+    let expand = |&(ref marking, parity): &(Marking, u64),
+                  out: &mut Vec<Step<(Marking, u64), TransitionId, StgError>>| {
         for t in net.transition_ids() {
-            if !net.is_enabled(t, &marking) {
-                continue;
+            if net.is_enabled(t, marking) {
+                let next_parity = match labels[t.index()] {
+                    Label::Edge(e) => parity ^ e.signal.mask(),
+                    Label::Dummy => parity,
+                };
+                let next = net.try_fire_named(t, marking).map_err(StgError::from);
+                out.push((t, next.map(|next| (next, next_parity))));
             }
-            let mut next_parity = parity;
+        }
+    };
+    let initial = (net.initial_marking().pack_if_safe(), 0);
+    let space: StateSpace<_, _, u32> = StateSpace::explore(
+        a4a_rt::Pool::global(),
+        initial,
+        BUDGET,
+        expand,
+        |_, _, _, e| Err(e),
+    )?;
+    let mut inferred: Vec<Option<bool>> = vec![None; signals.len()];
+    for id in space.state_ids() {
+        let parity = space.state(id).1;
+        for &(t, _) in space.successors(id) {
             if let Label::Edge(e) = labels[t.index()] {
-                let idx = e.signal.index();
-                let flipped = (parity >> idx) & 1 == 1;
-                // value before firing = initial ^ flipped; must be
-                // !target.
-                let required_initial = !e.polarity.target_value() ^ flipped;
-                if inferred[idx].is_none() {
-                    inferred[idx] = Some(required_initial);
-                }
-                next_parity ^= 1u64 << idx;
-            }
-            let next = (net.fire(t, &marking), next_parity);
-            if seen.insert(next.clone()) {
-                queue.push_back(next);
+                // Value before firing = initial ^ flipped; must be !target.
+                let flipped = parity & e.signal.mask() != 0;
+                inferred[e.signal.index()].get_or_insert(!e.polarity.target_value() ^ flipped);
             }
         }
     }
-    for (i, s) in signals.iter_mut().enumerate() {
-        s.initial = inferred[i].unwrap_or(false);
+    for (s, value) in signals.iter_mut().zip(inferred) {
+        s.initial = value.unwrap_or(false);
     }
     Ok(())
 }

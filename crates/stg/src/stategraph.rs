@@ -1,8 +1,7 @@
 use std::fmt;
-use std::hash::{Hash, Hasher};
 
-use a4a_petri::{Marking, TransitionId};
-use a4a_rt::{FxHashMap, FxHasher, IdTable};
+use a4a_petri::{Marking, StateIndex, StateSpace, Step, TransitionId};
+use a4a_rt::FxHashMap;
 
 use crate::{Edge, Label, SignalId, Stg, StgError};
 
@@ -52,23 +51,29 @@ impl fmt::Display for SgStateId {
 /// ```
 #[derive(Debug, Clone)]
 pub struct StateGraph {
-    markings: Vec<Marking>,
-    codes: Vec<u64>,
-    successors: Vec<Vec<(TransitionId, SgStateId)>>,
-    /// For each state, a (transition, predecessor) pair on a shortest path
-    /// from the initial state; `None` for the initial state.
-    parents: Vec<Option<(TransitionId, SgStateId)>>,
+    /// States are (marking, code) pairs.
+    space: StateSpace<(Marking, u64), TransitionId, SgStateId>,
+}
+
+impl StateIndex for SgStateId {
+    fn from_index(index: u32) -> Self {
+        SgStateId(index)
+    }
+
+    fn index(self) -> usize {
+        self.0 as usize
+    }
 }
 
 impl StateGraph {
     /// Number of states.
     pub fn state_count(&self) -> usize {
-        self.markings.len()
+        self.space.state_count()
     }
 
     /// Number of edges.
     pub fn edge_count(&self) -> usize {
-        self.successors.iter().map(Vec::len).sum()
+        self.space.edge_count()
     }
 
     /// The marking of `state`.
@@ -77,7 +82,7 @@ impl StateGraph {
     ///
     /// Panics if `state` does not belong to this graph.
     pub fn marking(&self, state: SgStateId) -> &Marking {
-        &self.markings[state.index()]
+        &self.space.state(state).0
     }
 
     /// The binary signal code of `state`.
@@ -86,7 +91,7 @@ impl StateGraph {
     ///
     /// Panics if `state` does not belong to this graph.
     pub fn code(&self, state: SgStateId) -> u64 {
-        self.codes[state.index()]
+        self.space.state(state).1
     }
 
     /// The value of `signal` in `state`.
@@ -104,12 +109,12 @@ impl StateGraph {
     ///
     /// Panics if `state` does not belong to this graph.
     pub fn successors(&self, state: SgStateId) -> &[(TransitionId, SgStateId)] {
-        &self.successors[state.index()]
+        self.space.successors(state)
     }
 
     /// Iterates over all states in discovery order.
     pub fn state_ids(&self) -> impl Iterator<Item = SgStateId> {
-        (0..self.markings.len() as u32).map(SgStateId)
+        self.space.state_ids()
     }
 
     /// A shortest firing trace (transition ids) from the initial state to
@@ -119,14 +124,7 @@ impl StateGraph {
     ///
     /// Panics if `state` does not belong to this graph.
     pub fn trace_to(&self, state: SgStateId) -> Vec<TransitionId> {
-        let mut trace = Vec::new();
-        let mut cur = state;
-        while let Some((t, prev)) = self.parents[cur.index()] {
-            trace.push(t);
-            cur = prev;
-        }
-        trace.reverse();
-        trace
+        self.space.trace_to(state)
     }
 
     /// Signal edges enabled in `state` (via any enabled transition), with
@@ -217,44 +215,13 @@ impl StateGraph {
     }
 }
 
-/// Frontiers narrower than this are expanded inline (the pool's
-/// bookkeeping would dominate the handful of vector ops per state).
-const PAR_FRONTIER_MIN: usize = 8;
-
-/// One enabled firing out of a frontier state: the transition plus
-/// either the successor key or the fault it commits.
-type Firing = (TransitionId, Result<(Marking, u64), FireFault>);
-
-/// A fault committed by firing a transition, detected during expansion
-/// and surfaced in merge order so all thread counts report the same one.
-#[derive(Debug, Clone)]
-enum FireFault {
-    /// The edge toggles a signal that already holds its target value.
-    Inconsistent,
-    /// The firing overflowed a place's token counter.
-    Overflow(a4a_petri::TokenOverflow),
-}
-
-/// The interner hash of a (marking, code) state: the marking's canonical
-/// fx stream extended by the code word.
-fn state_hash(marking: &Marking, code: u64) -> u64 {
-    let mut h = FxHasher::default();
-    marking.hash(&mut h);
-    h.write_u64(code);
-    h.finish()
-}
-
 impl Stg {
     /// Builds the binary-encoded state graph on the global thread pool
     /// ([`a4a_rt::Pool::global`]).
     ///
-    /// State numbering is breadth-first discovery order and is
-    /// *identical for every thread count*: each BFS level occupies a
-    /// contiguous id range, levels are expanded in parallel but merged
-    /// sequentially in (parent id, transition id) order — exactly the
-    /// order the sequential loop discovers successors in. Consistency
-    /// violations and the state limit also trip at the same firing, so
-    /// errors (including their traces) are bit-identical too.
+    /// State numbering is breadth-first discovery order and, like the
+    /// firing at which an error trips and its trace, *identical for
+    /// every thread count* (see [`a4a_petri::StateSpace::explore`]).
     ///
     /// # Errors
     ///
@@ -301,46 +268,19 @@ impl Stg {
     }
 
     /// The engine behind both entry points: exploration keeps whatever
-    /// representation `initial` has.
+    /// representation `initial` has. A state is a (marking, code) pair;
+    /// an edge firing against its signal's current value stops the
+    /// exploration as [`StgError::Inconsistent`], with the trace that
+    /// reaches it.
     fn state_graph_from(
         &self,
         pool: &a4a_rt::Pool,
         initial: Marking,
         max_states: usize,
     ) -> Result<StateGraph, StgError> {
-        if max_states > u32::MAX as usize {
-            return Err(StgError::LimitOverflow { limit: max_states });
-        }
-        // Interner: (marking, code) states live once, in the parallel
-        // arenas below; the table maps fx-hash → id and equality checks
-        // go through the arenas.
-        let mut table = IdTable::new();
-        let mut markings: Vec<Marking> = Vec::new();
-        let mut codes: Vec<u64> = Vec::new();
-        let mut successors: Vec<Vec<(TransitionId, SgStateId)>> = Vec::new();
-        let mut parents: Vec<Option<(TransitionId, SgStateId)>> = Vec::new();
-
-        table.insert(state_hash(&initial, self.initial_code()), 0);
-        markings.push(initial);
-        codes.push(self.initial_code());
-        successors.push(Vec::new());
-        parents.push(None);
-
-        // Level-synchronised BFS (see `PetriNet::explore_with` for the
-        // determinism argument): expand one completed level in
-        // parallel, merge sequentially in id order. Faults are carried
-        // through the merge, not raised during expansion, so the firing
-        // they surface at is the same for every thread count.
-        let mut level_start = 0usize;
-        // Sequential expansion reuses one successor scratch buffer; the
-        // parallel path necessarily materialises one list per state to
-        // ship results between threads.
-        let mut scratch: Vec<Firing> = Vec::new();
-        while level_start < markings.len() {
-            let level_end = markings.len();
-            // Firing outcomes depend only on the parent (marking, code)
-            // pair, so they are computable without the index.
-            let expand = |marking: &Marking, code: u64, out: &mut Vec<Firing>| {
+        let expand =
+            |&(ref marking, code): &(Marking, u64),
+             out: &mut Vec<Step<(Marking, u64), TransitionId, StgError>>| {
                 for t in self.net.transition_ids() {
                     if !self.net.is_enabled(t, marking) {
                         continue;
@@ -348,143 +288,42 @@ impl Stg {
                     let next_code = match self.labels[t.index()] {
                         Label::Dummy => code,
                         Label::Edge(e) => {
-                            let cur = code & e.signal.mask() != 0;
-                            if cur == e.polarity.target_value() {
-                                // Fires against current value.
-                                out.push((t, Err(FireFault::Inconsistent)));
+                            if (code & e.signal.mask() != 0) == e.polarity.target_value() {
+                                // Fires against the current value; the hook
+                                // fills in the trace.
+                                out.push((
+                                    t,
+                                    Err(StgError::Inconsistent {
+                                        signal: self.signal(e.signal).name.clone(),
+                                        transition: self.transition_name(t),
+                                        trace: Vec::new(),
+                                    }),
+                                ));
                                 continue;
                             }
                             code ^ e.signal.mask()
                         }
                     };
-                    out.push((t, match self.net.try_fire(t, marking) {
-                        Ok(next) => Ok((next, next_code)),
-                        Err(e) => Err(FireFault::Overflow(e)),
-                    }));
+                    let next = self.net.try_fire_named(t, marking).map_err(StgError::from);
+                    out.push((t, next.map(|next| (next, next_code))));
                 }
             };
-            if pool.threads() <= 1 || level_end - level_start < PAR_FRONTIER_MIN {
-                for i in level_start..level_end {
-                    scratch.clear();
-                    expand(&markings[i], codes[i], &mut scratch);
-                    let firings = std::mem::take(&mut scratch);
-                    self.merge_firings(
-                        SgStateId(i as u32),
-                        firings.iter().cloned(),
-                        max_states,
-                        &mut table,
-                        &mut markings,
-                        &mut codes,
-                        &mut successors,
-                        &mut parents,
-                    )?;
-                    scratch = firings;
-                }
-            } else {
-                let expanded: Vec<Vec<Firing>> =
-                    pool.par_map_range(level_start..level_end, |i| {
-                        let mut out = Vec::new();
-                        expand(&markings[i], codes[i], &mut out);
-                        out
-                    });
-                for (offset, firings) in expanded.into_iter().enumerate() {
-                    self.merge_firings(
-                        SgStateId((level_start + offset) as u32),
-                        firings.into_iter(),
-                        max_states,
-                        &mut table,
-                        &mut markings,
-                        &mut codes,
-                        &mut successors,
-                        &mut parents,
-                    )?;
-                }
+        let on_fault = |space: &StateSpace<_, _, SgStateId>, from, t, mut err: StgError| {
+            if let StgError::Inconsistent { trace, .. } = &mut err {
+                let mut path = space.trace_to(from);
+                path.push(t);
+                *trace = path.into_iter().map(|t| self.transition_name(t)).collect();
             }
-            level_start = level_end;
-        }
-        Ok(StateGraph {
-            markings,
-            codes,
-            successors,
-            parents,
-        })
-    }
-
-    /// Merges one state's firing outcomes into the graph in transition
-    /// order — the single code path both the sequential and parallel
-    /// engines fund their determinism contract with.
-    #[allow(clippy::too_many_arguments)]
-    fn merge_firings(
-        &self,
-        current: SgStateId,
-        firings: impl Iterator<Item = Firing>,
-        max_states: usize,
-        table: &mut IdTable,
-        markings: &mut Vec<Marking>,
-        codes: &mut Vec<u64>,
-        successors: &mut Vec<Vec<(TransitionId, SgStateId)>>,
-        parents: &mut Vec<Option<(TransitionId, SgStateId)>>,
-    ) -> Result<(), StgError> {
-        for (t, outcome) in firings {
-            let (next, next_code) = match outcome {
-                Err(FireFault::Inconsistent) => {
-                    let e = match self.labels[t.index()] {
-                        Label::Edge(e) => e,
-                        Label::Dummy => unreachable!("dummy cannot be inconsistent"),
-                    };
-                    let mut trace: Vec<String> =
-                        self.trace_names(parents, current).into_iter().collect();
-                    trace.push(self.transition_name(t));
-                    return Err(StgError::Inconsistent {
-                        signal: self.signal(e.signal).name.clone(),
-                        transition: self.transition_name(t),
-                        trace,
-                    });
-                }
-                Err(FireFault::Overflow(e)) => {
-                    return Err(StgError::TokenOverflow {
-                        place: self.net.place(e.place).name.clone(),
-                        transition: self.net.transition(e.transition).name.clone(),
-                    });
-                }
-                Ok(key) => key,
-            };
-            let hash = state_hash(&next, next_code);
-            let next_id = match table.get(hash, |id| {
-                codes[id as usize] == next_code && markings[id as usize] == next
-            }) {
-                Some(id) => SgStateId(id),
-                None => {
-                    if markings.len() >= max_states {
-                        return Err(StgError::StateLimit { limit: max_states });
-                    }
-                    let id = SgStateId(markings.len() as u32);
-                    table.insert(hash, id.0);
-                    markings.push(next);
-                    codes.push(next_code);
-                    successors.push(Vec::new());
-                    parents.push(Some((t, current)));
-                    id
-                }
-            };
-            successors[current.index()].push((t, next_id));
-        }
-        Ok(())
-    }
-
-    fn trace_names(
-        &self,
-        parents: &[Option<(TransitionId, SgStateId)>],
-        state: SgStateId,
-    ) -> Vec<String> {
-        let mut trace = Vec::new();
-        let mut cur = state;
-        while let Some((t, prev)) = parents[cur.index()] {
-            trace.push(self.transition_name(t));
-            cur = prev;
-        }
-        trace.reverse();
-        trace
+            Err(err)
+        };
+        let space = StateSpace::explore(
+            pool,
+            (initial, self.initial_code()),
+            max_states,
+            expand,
+            on_fault,
+        )?;
+        Ok(StateGraph { space })
     }
 }
 

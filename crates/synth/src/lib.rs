@@ -56,4 +56,4 @@ mod si;
 pub use error::SynthError;
 pub use extract::{extract_next_state, NextState, Region};
 pub use gates::{synthesize, SignalImpl, SignalFunction, SynthOptions, SynthStyle, Synthesis};
-pub use si::{verify_si, SiReport, SiViolation};
+pub use si::{verify_si, verify_si_with, SiReport, SiViolation};

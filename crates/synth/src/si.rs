@@ -12,12 +12,10 @@
 //!   freedom) — an excited gate must not be disabled by another signal
 //!   changing before it fires.
 
-use std::collections::{BTreeSet, VecDeque};
-use std::hash::Hasher;
-
-use a4a_netlist::{GateId, Netlist};
-use a4a_rt::{FxHashMap, FxHasher, IdTable};
-use a4a_stg::{Edge, Label, Polarity, SgStateId, SignalId, SignalKind, Stg};
+use a4a_netlist::{GateId, GateKind, Netlist};
+use a4a_petri::{ExploreError, StateSpace, Step};
+use a4a_rt::Pool;
+use a4a_stg::{Edge, Label, SgStateId, SignalId, SignalKind, Stg};
 
 use crate::SynthError;
 
@@ -60,7 +58,12 @@ impl SiReport {
     }
 }
 
-/// Verifies a synthesised netlist against its STG specification.
+/// Violations recorded per report; exploration goes on past the cap so
+/// `states` still counts the whole joint space.
+const MAX_VIOLATIONS: usize = 16;
+
+/// Verifies a synthesised netlist against its STG specification, on the
+/// global thread pool ([`a4a_rt::Pool::global`]).
 ///
 /// The netlist must use the one-net-per-signal form produced by
 /// [`crate::synthesize`] (net names equal signal names).
@@ -73,7 +76,24 @@ impl SiReport {
 /// * [`SynthError::Stg`] when the specification itself cannot be
 ///   explored.
 pub fn verify_si(stg: &Stg, netlist: &Netlist, max_states: usize) -> Result<SiReport, SynthError> {
-    let sg = stg.state_graph(max_states)?;
+    verify_si_with(a4a_rt::Pool::global(), stg, netlist, max_states)
+}
+
+/// [`verify_si`] on an explicit pool — the entry point the differential
+/// tests use to compare thread counts in-process. The report (state
+/// count, violations and their order and traces) is identical for every
+/// pool size.
+///
+/// # Errors
+///
+/// As for [`verify_si`].
+pub fn verify_si_with(
+    pool: &Pool,
+    stg: &Stg,
+    netlist: &Netlist,
+    max_states: usize,
+) -> Result<SiReport, SynthError> {
+    let sg = stg.state_graph_with(pool, max_states)?;
 
     // Map implemented signals to their driver gates.
     let mut gate_of: Vec<Option<GateId>> = vec![None; stg.signal_count()];
@@ -86,202 +106,145 @@ pub fn verify_si(stg: &Stg, netlist: &Netlist, max_states: usize) -> Result<SiRe
             gate_of[signal.index()] = Some(gate);
         }
     }
-    let implemented: Vec<SignalId> = stg
+    // Signals implemented in the STG must be driven in the netlist; each
+    // gets its gate and the signal masks of the gate's pins.
+    let mut gates: Vec<(SignalId, &GateKind, Vec<u64>)> = Vec::new();
+    for s in stg
         .signal_ids()
         .filter(|&s| stg.signal(s).kind.is_implemented())
-        .collect();
-    // Signals implemented in the STG must be driven in the netlist.
-    for &s in &implemented {
-        if gate_of[s.index()].is_none() {
-            return Err(SynthError::SignalMapping {
-                net: stg.signal(s).name.clone(),
-            });
-        }
-    }
-    // Pin order: map netlist pins back to signal indices once.
-    let pin_signals: FxHashMap<GateId, Vec<SignalId>> = netlist
-        .gate_ids()
-        .map(|g| {
-            let sigs = netlist
-                .gate(g)
-                .pins
-                .iter()
-                .map(|&p| {
-                    stg.signal_by_name(&netlist.net(p).name)
-                        .expect("checked above")
-                })
-                .collect();
-            (g, sigs)
-        })
-        .collect();
-
-    let eval_signal = |signal: SignalId, code: u64| -> bool {
-        let gate_id = gate_of[signal.index()].expect("implemented");
-        let gate = netlist.gate(gate_id);
-        let pins: Vec<bool> = pin_signals[&gate_id]
+    {
+        let gate = gate_of[s.index()].ok_or_else(|| SynthError::SignalMapping {
+            net: stg.signal(s).name.clone(),
+        })?;
+        let gate = netlist.gate(gate);
+        let pins = gate
+            .pins
             .iter()
-            .map(|s| code & s.mask() != 0)
+            .map(|&p| {
+                stg.signal_by_name(&netlist.net(p).name)
+                    .expect("checked above")
+                    .mask()
+            })
             .collect();
-        gate.kind.eval(&pins, code & signal.mask() != 0)
+        gates.push((s, &gate.kind, pins));
+    }
+    let is_excited = |(signal, kind, pins): &(SignalId, &GateKind, Vec<u64>), code: u64| {
+        let mut values = [false; 64];
+        for (v, &mask) in values.iter_mut().zip(pins) {
+            *v = code & mask != 0;
+        }
+        let cur = code & signal.mask() != 0;
+        kind.eval(&values[..pins.len()], cur) != cur
     };
 
-    // Epsilon (dummy) closure over specification states.
-    let closure = |set: BTreeSet<SgStateId>| -> BTreeSet<SgStateId> {
-        let mut out = set;
-        let mut queue: VecDeque<SgStateId> = out.iter().copied().collect();
-        while let Some(s) = queue.pop_front() {
+    // Epsilon (dummy) closure over specification states, kept as a
+    // sorted set.
+    let closure = |mut set: Vec<SgStateId>| -> Vec<SgStateId> {
+        set.sort_unstable();
+        set.dedup();
+        let mut todo = set.clone();
+        while let Some(s) = todo.pop() {
             for &(t, succ) in sg.successors(s) {
-                if stg.label(t) == Label::Dummy && out.insert(succ) {
-                    queue.push_back(succ);
+                if stg.label(t) == Label::Dummy {
+                    if let Err(at) = set.binary_search(&succ) {
+                        set.insert(at, succ);
+                        todo.push(succ);
+                    }
                 }
             }
         }
-        out
+        set
     };
-    // Spec states in `set` enabling `edge`, and the closure of their
-    // successors through it.
-    let advance = |set: &BTreeSet<SgStateId>, edge: Edge| -> BTreeSet<SgStateId> {
-        let mut next = BTreeSet::new();
-        for &s in set {
-            for &(t, succ) in sg.successors(s) {
-                if stg.label(t) == Label::Edge(edge) {
-                    next.insert(succ);
-                }
-            }
-        }
+    // The closure of the successors through `edge` of the spec states in
+    // `set`; empty when none of them enables `edge`.
+    let advance = |set: &[SgStateId], edge: Edge| -> Vec<SgStateId> {
+        let next = set
+            .iter()
+            .flat_map(|&s| sg.successors(s))
+            .filter(|&&(t, _)| stg.label(t) == Label::Edge(edge))
+            .map(|&(_, succ)| succ)
+            .collect();
         closure(next)
     };
-    let spec_enables = |set: &BTreeSet<SgStateId>, edge: Edge| -> bool {
-        set.iter().any(|&s| {
-            sg.successors(s)
-                .iter()
-                .any(|&(t, _)| stg.label(t) == Label::Edge(edge))
-        })
-    };
-
     let edge_name = |e: Edge| -> String {
         format!("{}{}", stg.signal(e.signal).name, e.polarity.suffix())
     };
 
-    // Joint BFS. Keys live once, in the `keys` arena; the interner maps
-    // fx-hash → index with equality resolved against the arena.
-    type Key = (u64, BTreeSet<SgStateId>);
-    let key_hash = |key: &Key| -> u64 {
-        let mut h = FxHasher::default();
-        h.write_u64(key.0);
-        h.write_usize(key.1.len());
-        for &s in &key.1 {
-            h.write_u32(s.index() as u32);
-        }
-        h.finish()
-    };
-    let initial: Key = (stg.initial_code(), closure(BTreeSet::from([SgStateId::INITIAL])));
-    let mut table = IdTable::new();
-    let mut keys: Vec<Key> = Vec::new();
-    let mut parents: Vec<Option<(usize, Edge)>> = Vec::new();
-    table.insert(key_hash(&initial), 0);
-    keys.push(initial);
-    parents.push(None);
-
-    let trace_of = |parents: &[Option<(usize, Edge)>], mut idx: usize| -> Vec<String> {
-        let mut out = Vec::new();
-        while let Some((prev, e)) = parents[idx] {
-            out.push(edge_name(e));
-            idx = prev;
-        }
-        out.reverse();
-        out
-    };
-
-    let mut report = SiReport::default();
-    const MAX_VIOLATIONS: usize = 16;
-
-    let mut frontier = 0usize;
-    while frontier < keys.len() {
-        let (code, spec) = keys[frontier].clone();
-
-        // Moves available in this joint state.
-        let mut moves: Vec<Edge> = Vec::new();
+    // A joint state is (code, spec states). A fault names the signal a
+    // move disabled, or is `None` when the spec does not allow the move.
+    type Joint = (u64, Vec<SgStateId>);
+    let expand = |(code, spec): &Joint, out: &mut Vec<Step<Joint, Edge, Option<SignalId>>>| {
+        let code = *code;
+        let toggle = |s: SignalId| {
+            if code & s.mask() != 0 {
+                Edge::falling(s)
+            } else {
+                Edge::rising(s)
+            }
+        };
+        let mut moves: Vec<(Edge, Vec<SgStateId>)> = Vec::new();
         // Environment: input edges enabled by the spec.
-        for s in stg.signal_ids() {
-            if stg.signal(s).kind != SignalKind::Input {
-                continue;
-            }
-            let cur = code & s.mask() != 0;
-            let edge = Edge {
-                signal: s,
-                polarity: if cur { Polarity::Falling } else { Polarity::Rising },
-            };
-            if spec_enables(&spec, edge) {
-                moves.push(edge);
+        for s in stg
+            .signal_ids()
+            .filter(|&s| stg.signal(s).kind == SignalKind::Input)
+        {
+            let next = advance(spec, toggle(s));
+            if !next.is_empty() {
+                moves.push((toggle(s), next));
             }
         }
-        // Circuit: excited implemented signals.
-        let excited: Vec<SignalId> = implemented
-            .iter()
-            .copied()
-            .filter(|&s| eval_signal(s, code) != (code & s.mask() != 0))
-            .collect();
-        for &s in &excited {
-            let cur = code & s.mask() != 0;
-            let edge = Edge {
-                signal: s,
-                polarity: if cur { Polarity::Falling } else { Polarity::Rising },
-            };
-            if !spec_enables(&spec, edge) {
-                if report.violations.len() < MAX_VIOLATIONS {
-                    let mut trace = trace_of(&parents, frontier);
-                    trace.push(edge_name(edge));
-                    report.violations.push(SiViolation::Unexpected {
-                        edge: edge_name(edge),
-                        trace,
-                    });
-                }
-                continue;
+        // Circuit: excited implemented signals, which the spec must allow.
+        let excited: Vec<&(SignalId, &GateKind, Vec<u64>)> =
+            gates.iter().filter(|g| is_excited(g, code)).collect();
+        for g in &excited {
+            let next = advance(spec, toggle(g.0));
+            if next.is_empty() {
+                out.push((toggle(g.0), Err(None)));
+            } else {
+                moves.push((toggle(g.0), next));
             }
-            moves.push(edge);
         }
-
-        for &edge in &moves {
+        for (edge, next) in moves {
             let new_code = code ^ edge.signal.mask();
             // Semi-modularity: every other excited signal stays excited.
-            for &s in &excited {
-                if s == edge.signal {
-                    continue;
+            for g in &excited {
+                if g.0 != edge.signal && !is_excited(g, new_code) {
+                    out.push((edge, Err(Some(g.0))));
                 }
-                let still = eval_signal(s, new_code) != (new_code & s.mask() != 0);
-                if !still && report.violations.len() < MAX_VIOLATIONS {
-                    let mut trace = trace_of(&parents, frontier);
-                    trace.push(edge_name(edge));
-                    report.violations.push(SiViolation::Disabled {
+            }
+            out.push((edge, Ok((new_code, next))));
+        }
+    };
+    let mut violations = Vec::new();
+    let on_fault =
+        |space: &StateSpace<Joint, Edge, u32>, from, edge, disabled: Option<SignalId>| {
+            if violations.len() < MAX_VIOLATIONS {
+                let mut trace: Vec<String> =
+                    space.trace_to(from).into_iter().map(edge_name).collect();
+                trace.push(edge_name(edge));
+                violations.push(match disabled {
+                    None => SiViolation::Unexpected {
+                        edge: edge_name(edge),
+                        trace,
+                    },
+                    Some(s) => SiViolation::Disabled {
                         signal: stg.signal(s).name.clone(),
                         by: edge_name(edge),
                         trace,
-                    });
-                }
+                    },
+                });
             }
-            let new_spec = advance(&spec, edge);
-            if new_spec.is_empty() {
-                // Only possible for circuit moves rejected above or for
-                // input moves the spec cannot take; both already handled.
-                continue;
-            }
-            let key: Key = (new_code, new_spec);
-            let hash = key_hash(&key);
-            if table.get(hash, |id| keys[id as usize] == key).is_none() {
-                if keys.len() >= max_states {
-                    return Err(SynthError::StateLimit { limit: max_states });
-                }
-                table.insert(hash, keys.len() as u32);
-                keys.push(key);
-                parents.push(Some((frontier, edge)));
-            }
-        }
-        frontier += 1;
-    }
-
-    report.states = keys.len();
-    Ok(report)
+            Ok(())
+        };
+    let initial = (stg.initial_code(), closure(vec![SgStateId::INITIAL]));
+    // The hook never stops and the state graph above already vetted the
+    // limit, so the one error left is the joint state limit.
+    let space = StateSpace::explore(pool, initial, max_states, expand, on_fault)
+        .map_err(|_: ExploreError| SynthError::StateLimit { limit: max_states })?;
+    Ok(SiReport {
+        states: space.state_count(),
+        violations,
+    })
 }
 
 #[cfg(test)]

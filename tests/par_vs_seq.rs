@@ -1,10 +1,12 @@
-//! Differential suite: parallel state-graph construction and Petri-net
-//! reachability must be *bit-identical* to the sequential baseline —
-//! same state counts, same codes, same state numbering, same edge
-//! order, same verification verdicts — for every thread count, **and**
-//! the packed (bit-per-place) marking representation must be
-//! indistinguishable from the dense `Vec<u32>` reference engine
-//! (`state_graph_ref_with` / a dense initial marking).
+//! Differential suite: every client of the exploration engine —
+//! state-graph construction, Petri-net reachability, SI verification
+//! and the parser's initial-value inference — must be *bit-identical*
+//! to the sequential baseline — same state counts, same codes, same
+//! state numbering, same edge order, same verdicts, violations and
+//! traces — for every thread count, **and** the packed (bit-per-place)
+//! marking representation must be indistinguishable from the dense
+//! `Vec<u32>` reference engine (`state_graph_ref_with` / a dense
+//! initial marking).
 //!
 //! The corpus is every STG this repo ships (the controller modules, the
 //! composed token ring, the A2A element zoo) plus randomly generated
@@ -13,9 +15,12 @@
 //! default `state_graph`/`explore` entry points (global pool) through
 //! each thread count.
 
+use a4a_boolmin::Expr;
+use a4a_netlist::{GateLib, Netlist, NetlistBuilder};
 use a4a_petri::{Marking, NetBuilder, PetriNet};
 use a4a_rt::Pool;
 use a4a_stg::{prop_support, StateGraph, Stg};
+use a4a_synth::{synthesize, verify_si_with, SiReport, SynthOptions, SynthStyle};
 
 /// Thread counts compared against the sequential pool-of-1 baseline.
 const THREADS: [usize; 2] = [2, 8];
@@ -187,7 +192,13 @@ fn random_pipelines_par_vs_seq() {
 fn composed_pipelines_par_vs_seq() {
     // Two independent pipelines composed share no signals, so the
     // product state space is wide (2n * 2m states) — a better stress of
-    // per-level parallelism than a single ring.
+    // per-level parallelism than a single ring. The fixed 5x5 product
+    // has levels of up to 10 states, so the parallel expansion runs.
+    let a = prop_support::pipeline_stg_with_prefix(5, 0b10110, "a");
+    let b = prop_support::pipeline_stg_with_prefix(5, 0b01010, "b");
+    let ab = a.compose(&b).unwrap();
+    check_stg("composed 5x5", &ab, 200_000);
+    check_net("composed 5x5", ab.net(), 200_000);
     a4a_rt::prop::check_with(
         &a4a_rt::Config::with_cases(8),
         "composed_pipelines_par_vs_seq",
@@ -369,4 +380,156 @@ fn marking_equality_and_hash_cross_representation() {
     assert!(packed.is_packed());
     assert_eq!(dense, packed);
     assert_eq!(dense.fx_hash(), packed.fx_hash());
+}
+
+/// Every built-in specification: the controller modules, the A2A
+/// elements, the token ring and the phase core.
+fn builtin_specs() -> Vec<(&'static str, Stg)> {
+    let mut specs = a4a_ctrl::stgs::all_module_stgs();
+    specs.extend(a4a_a2a::spec::all_specs());
+    specs.push(("token_ring", a4a_ctrl::stgs::token_ring_stg()));
+    specs.push(("phase_core", a4a_ctrl::stgs::phase_core_stg()));
+    specs
+}
+
+/// A netlist that drives each implemented signal from its successor in
+/// signal order: it conforms to nothing, so the verifier reports both
+/// unexpected edges and disabled excitations.
+fn hazardous_netlist(stg: &Stg) -> Netlist {
+    let lib = GateLib::tsmc90();
+    let mut b = NetlistBuilder::new("hazardous");
+    let nets: Vec<_> = stg
+        .signals()
+        .iter()
+        .map(|s| {
+            if s.kind.is_implemented() {
+                b.net(s.name.clone())
+            } else {
+                b.input(s.name.clone())
+            }
+        })
+        .collect();
+    for s in stg.signal_ids() {
+        if stg.signal(s).kind.is_implemented() {
+            let out = nets[s.index()];
+            let src = nets[(s.index() + 1) % nets.len()];
+            if src == out {
+                b.inv(out, src, &lib);
+            } else {
+                let f = Expr::or(vec![Expr::var(0), Expr::not(Expr::var(1))]);
+                b.complex(out, &[src, out], f, &lib);
+            }
+        }
+    }
+    b.build().unwrap()
+}
+
+fn check_si(label: &str, stg: &Stg, netlist: &Netlist) -> SiReport {
+    let seq = verify_si_with(&Pool::new(1), stg, netlist, 1_000_000)
+        .unwrap_or_else(|e| panic!("{label}: sequential verify failed: {e}"));
+    for threads in THREADS {
+        let par = verify_si_with(&Pool::new(threads), stg, netlist, 1_000_000)
+            .unwrap_or_else(|e| panic!("{label}: parallel({threads}) verify failed: {e}"));
+        assert_eq!(seq.states, par.states, "{label} t{threads}: joint states");
+        assert_eq!(
+            seq.violations, par.violations,
+            "{label} t{threads}: violations"
+        );
+    }
+    seq
+}
+
+#[test]
+fn si_reports_par_vs_seq() {
+    let mut violations = 0;
+    for (name, stg) in builtin_specs() {
+        // Synthesising the phase core alone takes seconds in a debug
+        // build; its hazardous netlist below still covers the widest
+        // joint state space of the corpus.
+        let styles: &[SynthStyle] = if name == "phase_core" {
+            &[]
+        } else {
+            &[SynthStyle::ComplexGate, SynthStyle::GeneralizedC]
+        };
+        for &style in styles {
+            let syn = synthesize(&stg, &SynthOptions::new(style))
+                .unwrap_or_else(|e| panic!("{name} {style:?}: {e}"));
+            let report = check_si(&format!("{name} {style:?}"), &stg, syn.netlist());
+            assert!(
+                report.is_clean(),
+                "{name} {style:?}: {:?}",
+                report.violations
+            );
+        }
+        let report = check_si(&format!("{name} hazardous"), &stg, &hazardous_netlist(&stg));
+        violations += report.violations.len();
+    }
+    // Two independent pipelines: a product space whose BFS levels are
+    // wide enough to fan out to the workers.
+    let a = prop_support::pipeline_stg_with_prefix(4, 0b0110, "a");
+    let b = prop_support::pipeline_stg_with_prefix(4, 0b1010, "b");
+    let ab = a.compose(&b).unwrap();
+    let syn = synthesize(&ab, &SynthOptions::new(SynthStyle::ComplexGate)).unwrap();
+    assert!(check_si("composed", &ab, syn.netlist()).states >= 64);
+    let report = check_si("composed hazardous", &ab, &hazardous_netlist(&ab));
+    violations += report.violations.len();
+    assert!(violations > 0, "the hazardous netlists must be caught");
+}
+
+// Initial-value inference runs on the global pool, so the two tests
+// below compare against known answers; `ci.sh` reruns them at
+// `A4A_THREADS=1`, `2` and `8`.
+
+#[test]
+fn inferred_initial_values_par_vs_seq() {
+    // Composed pipelines whose ring tokens start `k` and `j` events in:
+    // with `.initial_state` left out, the parser must infer exactly the
+    // values those prefixes imply.
+    for (n, m, k, j) in [(3, 4, 2, 5), (4, 4, 5, 1), (5, 3, 7, 3), (4, 5, 4, 9)] {
+        let a = prop_support::pipeline_stg_with_prefix(n, 0b0110, "a");
+        let b = prop_support::pipeline_stg_with_prefix(m, 0b1010, "b");
+        let ab = a.compose(&b).unwrap();
+        // The ring of pipeline `p` over `len` signals: rises, then falls.
+        let event = |p: &str, len: usize, i: usize| {
+            let sign = if i % (2 * len) < len { '+' } else { '-' };
+            format!("{p}{}{sign}", i % len)
+        };
+        let arc = |p: &str, len: usize, i: usize| {
+            format!("<{},{}>", event(p, len, i + 2 * len - 1), event(p, len, i))
+        };
+        let text = ab
+            .to_g()
+            .replace(&arc("a", n, 0), &arc("a", n, k))
+            .replace(&arc("b", m, 0), &arc("b", m, j));
+        let expected: Vec<(String, bool)> = (0..n)
+            .map(|i| (format!("a{i}"), (i < k) != (i + n < k)))
+            .chain((0..m).map(|i| (format!("b{i}"), (i < j) != (i + m < j))))
+            .collect();
+        let parsed = Stg::parse_g(&text).unwrap_or_else(|e| panic!("n={n} m={m}: {e}\n{text}"));
+        for (name, high) in &expected {
+            let s = parsed.signal_by_name(name).unwrap();
+            assert_eq!(
+                parsed.signal(s).initial,
+                *high,
+                "n={n} m={m} k={k} j={j}: {name}"
+            );
+        }
+    }
+}
+
+#[test]
+fn inferred_initial_values_match_builtin_specs() {
+    // Stripping `.initial_state` from a built-in spec's `.g` must give
+    // back its declared initial values.
+    for (name, stg) in builtin_specs() {
+        let text: String = stg
+            .to_g()
+            .lines()
+            .filter(|l| !l.starts_with(".initial_state"))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        let parsed = Stg::parse_g(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let values = |s: &Stg| s.signals().iter().map(|s| s.initial).collect::<Vec<_>>();
+        assert_eq!(values(&parsed), values(&stg), "{name}");
+    }
 }

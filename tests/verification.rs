@@ -104,3 +104,25 @@ fn timer_sharing_possibility() {
     assert_eq!(eq(&pmos), eq(&nmos));
     assert_eq!(eq(&pmos), eq(&ext));
 }
+
+#[test]
+fn every_builtin_spec_round_trips_through_dot_g() {
+    // The 20 built-in specifications: modules, A2A elements, and the two
+    // compositions, whose repeated transition pairs and instance names
+    // `to_g` must write in a form `parse_g` reads back.
+    let mut specs = all_specs();
+    specs.push(("token_ring", a4a_ctrl::stgs::token_ring_stg()));
+    specs.push(("phase_core", a4a_ctrl::stgs::phase_core_stg()));
+    assert_eq!(specs.len(), 20);
+    for (name, stg) in specs {
+        let sg = stg.state_graph(1_000_000).unwrap();
+        let back = Stg::parse_g(&stg.to_g()).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let back_sg = back
+            .state_graph(1_000_000)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(back_sg.state_count(), sg.state_count(), "{name}: states");
+        assert_eq!(back_sg.edge_count(), sg.edge_count(), "{name}: edges");
+        let codes = |g: &a4a_stg::StateGraph| g.state_ids().map(|s| g.code(s)).collect::<Vec<_>>();
+        assert_eq!(codes(&back_sg), codes(&sg), "{name}: codes in order");
+    }
+}
