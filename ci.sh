@@ -6,7 +6,8 @@
 # script is the tier-1 verify plus the guards that keep it that way:
 #
 #   1. cold-cache offline release build
-#   2. offline test run (root package tier-1, then the whole workspace)
+#   2. offline test run (root package tier-1, then the whole workspace,
+#      then the benchmark's own tests in perfbench/)
 #   3. the parallel/sequential differential suite at 1, 2, and 8
 #      threads, so the global-pool entry points are exercised at every
 #      thread count the determinism contract promises
@@ -24,8 +25,9 @@
 #   7. fail if any Cargo.toml re-introduces a registry (non-path)
 #      dependency
 #   8. fail if a library crate of the simulation stack (sim, analog,
-#      core) grows a new `unwrap()` outside #[cfg(test)] — failures
-#      there must flow through the typed SimError model
+#      core) or of the synthesis stack (boolmin, synth) grows a new
+#      `unwrap()` outside #[cfg(test)] — failures there must flow
+#      through the typed SimError / MinimizeError / SynthError models
 #
 # `./ci.sh --quick` runs only the build and the smoke tier (4) — the
 # sub-minute loop for "did I break an experiment binary".
@@ -150,6 +152,9 @@ cargo test -q --offline
 echo "==> cargo test -q --offline --workspace"
 cargo test -q --offline --workspace
 
+echo "==> cargo test -q --release --offline (perfbench's own tests)"
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> par vs seq + interner golden suites at A4A_THREADS=1,2,8"
 for t in 1 2 8; do
     echo "    A4A_THREADS=$t"
@@ -199,20 +204,22 @@ if [ "$bad" -ne 0 ]; then
 fi
 echo "OK: hermetic (no registry dependencies)"
 
-echo "==> checking simulation-stack library crates for unwrap()"
+echo "==> checking simulation- and synthesis-stack library crates for unwrap()"
 # The sim/analog/core libraries route every failure through the typed
-# SimError model; `.unwrap()` belongs only in #[cfg(test)] modules (and
-# experiment binaries under core/src/bin/, which may die loudly). The
-# scan stops at the first #[cfg(test)] marker — library code above it
-# must be unwrap-free.
+# SimError model, boolmin and synth through MinimizeError / SynthError;
+# `.unwrap()` belongs only in #[cfg(test)] modules (and experiment
+# binaries under core/src/bin/, which may die loudly). The scan stops at
+# the first #[cfg(test)] marker — library code above it must be
+# unwrap-free.
 bad=0
-for src in crates/sim/src/*.rs crates/analog/src/*.rs crates/core/src/*.rs; do
+for src in crates/sim/src/*.rs crates/analog/src/*.rs crates/core/src/*.rs \
+        crates/boolmin/src/*.rs crates/synth/src/*.rs; do
     offenders=$(awk -v f="$src" '
         /#\[cfg\(test\)\]/ { exit }
         /\.unwrap\(\)/ { print f ":" FNR ": " $0 }
     ' "$src")
     if [ -n "$offenders" ]; then
-        echo "ERROR: unwrap() outside #[cfg(test)] — use SimError:" >&2
+        echo "ERROR: unwrap() outside #[cfg(test)] — use a typed error:" >&2
         echo "$offenders" | sed 's/^/    /' >&2
         bad=1
     fi
@@ -220,4 +227,4 @@ done
 if [ "$bad" -ne 0 ]; then
     exit 1
 fi
-echo "OK: simulation-stack libraries are unwrap-free (typed errors only)"
+echo "OK: simulation- and synthesis-stack libraries are unwrap-free (typed errors only)"

@@ -1,9 +1,9 @@
 //! Tracked wall-time benchmarks for the formal-side hot path — the
-//! STG → state-graph → Quine–McCluskey → speed-independence pipeline
-//! that backs every verification claim in the repo (DESIGN.md §2's
-//! exact-reachability substitution).
+//! STG → state-graph → two-level minimisation → speed-independence
+//! pipeline that backs every verification claim in the repo (DESIGN.md
+//! §2's exact-reachability substitution).
 //!
-//! Six metrics, median-of-N via [`a4a_rt::bench::Bencher`]:
+//! Seven metrics, median-of-N via [`a4a_rt::bench::Bencher`]:
 //!
 //! * `synth/state_graph_token_ring_x1000` — 1000 state-graph builds of
 //!   the composed token ring (the widest shipped net, 20 places);
@@ -15,8 +15,13 @@
 //!   composed handshake-pipeline product (the widest state space the
 //!   repo constructs, thousands of states — where packed markings and
 //!   the id-interner dominate);
-//! * `synth/minimize_qm10` — a representative 10-variable
-//!   Quine–McCluskey minimisation with a seeded ON/OFF/DC partition;
+//! * `synth/minimize_qm10` — a dense seeded 10-variable ON/OFF/DC
+//!   partition (5/8 of the cube OFF), unlike any STG function; kept as
+//!   the worst case for OFF-set-driven prime generation;
+//! * `synth/minimize_phase_core` — every complex-gate and gC ON/OFF
+//!   problem of the phase core (11 signals, 126 reachable codes),
+//!   extracted once in set-up: the real STG instance the flow spends its
+//!   minimisation time on;
 //! * `synth/verify_si_celem` — conformance + hazard verification of the
 //!   synthesised C-element against its specification.
 //!
@@ -32,7 +37,7 @@ use a4a_boolmin::Minimize;
 use a4a_rt::bench::Bencher;
 use a4a_rt::Rng;
 use a4a_stg::prop_support;
-use a4a_synth::{synthesize, verify_si, SynthOptions, SynthStyle};
+use a4a_synth::{extract_next_state, synthesize, verify_si, Region, SynthOptions, SynthStyle};
 
 const CELEM: &str = "\
 .model celem
@@ -97,8 +102,8 @@ fn main() {
         sg.state_count()
     }));
 
-    // Representative QM instance: a seeded ON/OFF/DC partition of the
-    // 10-variable minterm space (~1/8 ON, ~5/8 OFF, rest don't-care).
+    // A dense seeded ON/OFF/DC partition of the 10-variable minterm
+    // space (~1/8 ON, ~5/8 OFF, rest don't-care).
     let mut rng = Rng::from_seed(0x5e_ed_a4_a5);
     let mut on = Vec::new();
     let mut off = Vec::new();
@@ -113,6 +118,37 @@ fn main() {
         let cover = a4a_boolmin::minimize(&Minimize::new(10).on(&on).off(&off))
             .expect("no contradiction by construction");
         cover.cube_count()
+    }));
+
+    // The ON/OFF problems `synthesize` hands the minimiser for the
+    // phase core, in both styles.
+    let core = a4a_ctrl::stgs::phase_core_stg();
+    let sg = core.state_graph(500_000).expect("phase core is consistent");
+    let mut problems: Vec<(Vec<u64>, Vec<u64>)> = Vec::new();
+    for signal in core.signal_ids() {
+        if !core.signal(signal).kind.is_implemented() {
+            continue;
+        }
+        let ns = extract_next_state(&core, &sg, signal).expect("phase core has CSC");
+        let rise = ns.region_codes(Region::ExcitedRise);
+        let fall = ns.region_codes(Region::ExcitedFall);
+        let mut set_off = ns.region_codes(Region::Stable0);
+        set_off.extend(&fall);
+        let mut reset_off = ns.region_codes(Region::Stable1);
+        reset_off.extend(&rise);
+        problems.push((ns.on_set(), ns.off_set()));
+        problems.push((rise, set_off));
+        problems.push((fall, reset_off));
+    }
+    let nvars = core.signal_count();
+    results.push(bencher.bench("synth/minimize_phase_core", || {
+        let mut literals = 0;
+        for (on, off) in &problems {
+            let cover = a4a_boolmin::minimize(&Minimize::new(nvars).on(on).off(off))
+                .expect("next-state ON/OFF sets are disjoint");
+            literals += cover.literal_count();
+        }
+        literals
     }));
 
     let stg = a4a_stg::Stg::parse_g(CELEM).expect("C-element spec parses");

@@ -54,11 +54,25 @@ impl Cube {
     ///
     /// Panics if `nvars > 64`.
     pub fn minterm(nvars: usize, minterm: u64) -> Cube {
+        Cube::restrict(nvars, minterm, u64::MAX)
+    }
+
+    /// The cube binding each variable in the `bound` bitset to its value
+    /// in `minterm`, leaving the others free.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `nvars > 64`.
+    pub(crate) fn restrict(nvars: usize, minterm: u64, bound: u64) -> Cube {
         assert!(nvars <= 64, "at most 64 variables supported");
         let mut bits = 0u128;
         for i in 0..nvars {
-            let field = if (minterm >> i) & 1 == 1 { 0b10 } else { 0b01 };
-            bits |= (field as u128) << (2 * i);
+            let field = match ((bound >> i) & 1, (minterm >> i) & 1) {
+                (0, _) => DC,
+                (_, 1) => 0b10,
+                _ => 0b01,
+            };
+            bits |= field << (2 * i);
         }
         Cube {
             bits,

@@ -7,8 +7,11 @@
 //!
 //! * [`Cube`] — a product term in positional-cube notation;
 //! * [`Cover`] — a set of cubes with evaluation and containment helpers;
-//! * [`minimize`] — Quine–McCluskey prime generation followed by Petrick
-//!   exact covering (greedy fallback for large instances);
+//! * [`minimize`] — exact prime generation driven by the OFF-set (the
+//!   minimal hitting sets of each ON minterm's blocking matrix, so the
+//!   cost follows the care set, not the `2^n` cube) followed by Petrick
+//!   exact covering (greedy fallback for large instances), up to 64
+//!   variables;
 //! * [`Expr`] — a Boolean expression AST for rendering the result as a
 //!   complex gate.
 //!
@@ -34,12 +37,10 @@
 
 mod cover;
 mod cube;
-mod espresso;
 mod expr;
-mod qm;
+mod minimize;
 
 pub use cover::Cover;
-pub use espresso::espresso;
 pub use cube::Cube;
 pub use expr::Expr;
-pub use qm::{minimize, Minimize, MinimizeError};
+pub use minimize::{minimize, Minimize, MinimizeError};

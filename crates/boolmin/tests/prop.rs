@@ -1,5 +1,5 @@
-//! Property-based tests: Quine–McCluskey output is always semantically
-//! exact, cube algebra obeys its laws.
+//! Property-based tests: minimiser output is always semantically exact,
+//! cube algebra obeys its laws.
 
 use a4a_boolmin::{minimize, Cube, Expr, Minimize};
 use a4a_rt::prop::{self, Gen, PropResult};

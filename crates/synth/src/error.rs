@@ -22,8 +22,9 @@ pub enum SynthError {
     Minimize(MinimizeError),
     /// The generated netlist was structurally invalid (internal error).
     Netlist(NetlistError),
-    /// A signal's next-state function disagreed with its minimised cover
-    /// (internal consistency check).
+    /// A signal's minimised cover (complex gate, or gC set/reset)
+    /// disagreed with the ON/OFF codes it was minimised from (internal
+    /// consistency check).
     CoverMismatch {
         /// The offending signal name.
         signal: String,

@@ -1,6 +1,6 @@
 //! Cover minimisation and netlist assembly.
 
-use a4a_boolmin::{espresso, minimize, Cover, Expr, Minimize, MinimizeError};
+use a4a_boolmin::{minimize, Cover, Expr, Minimize};
 use a4a_netlist::{GateKind, GateLib, NetId, Netlist, NetlistBuilder};
 use a4a_stg::{SignalId, SignalKind, Stg};
 
@@ -132,14 +132,22 @@ impl Synthesis {
     }
 }
 
-/// Minimises ON/OFF minterm lists: exact Quine–McCluskey while the
-/// variable count permits full enumeration, espresso-style heuristic
-/// beyond that (wide composed controllers).
-fn minimize_sets(nvars: usize, on: &[u64], off: &[u64]) -> Result<Cover, MinimizeError> {
-    if nvars <= 18 {
-        minimize(&Minimize::new(nvars).on(on).off(off))
-    } else {
-        espresso(nvars, on, off)
+/// Minimises one ON/OFF problem of `signal` and checks the cover
+/// against both lists, so a minimiser defect surfaces as a typed error
+/// in release builds too.
+fn minimize_checked(
+    stg: &Stg,
+    signal: SignalId,
+    on: &[u64],
+    off: &[u64],
+) -> Result<Cover, SynthError> {
+    let cover = minimize(&Minimize::new(stg.signal_count()).on(on).off(off))?;
+    match cover.check(on, off) {
+        Some((code, _)) => Err(SynthError::CoverMismatch {
+            signal: stg.signal(signal).name.clone(),
+            code,
+        }),
+        None => Ok(cover),
     }
 }
 
@@ -163,7 +171,6 @@ pub fn synthesize(stg: &Stg, opts: &SynthOptions) -> Result<Synthesis, SynthErro
         return Err(SynthError::Csc(csc));
     }
 
-    let nvars = stg.signal_count();
     let mut impls = Vec::new();
     for signal in stg.signal_ids() {
         if !stg.signal(signal).kind.is_implemented() {
@@ -173,18 +180,12 @@ pub fn synthesize(stg: &Stg, opts: &SynthOptions) -> Result<Synthesis, SynthErro
             SynthError::Csc(Vec::new()) // unreachable: CSC checked above
         })?;
         let function = match opts.style {
-            SynthStyle::ComplexGate => {
-                let on = ns.on_set();
-                let off = ns.off_set();
-                let cover = minimize_sets(nvars, &on, &off)?;
-                if let Some((code, _)) = cover.check(&on, &off) {
-                    return Err(SynthError::CoverMismatch {
-                        signal: stg.signal(signal).name.clone(),
-                        code,
-                    });
-                }
-                SignalFunction::Complex(cover)
-            }
+            SynthStyle::ComplexGate => SignalFunction::Complex(minimize_checked(
+                stg,
+                signal,
+                &ns.on_set(),
+                &ns.off_set(),
+            )?),
             SynthStyle::GeneralizedC => {
                 let er_rise = ns.region_codes(Region::ExcitedRise);
                 let er_fall = ns.region_codes(Region::ExcitedFall);
@@ -193,11 +194,11 @@ pub fn synthesize(stg: &Stg, opts: &SynthOptions) -> Result<Synthesis, SynthErro
                 // Set: 1 on ER(s+), 0 wherever the output must be/stay 0.
                 let set_off: Vec<u64> =
                     stable0.iter().chain(er_fall.iter()).copied().collect();
-                let set = minimize_sets(nvars, &er_rise, &set_off)?;
+                let set = minimize_checked(stg, signal, &er_rise, &set_off)?;
                 // Reset: 1 on ER(s-), 0 wherever the output must be/stay 1.
                 let reset_off: Vec<u64> =
                     stable1.iter().chain(er_rise.iter()).copied().collect();
-                let reset = minimize_sets(nvars, &er_fall, &reset_off)?;
+                let reset = minimize_checked(stg, signal, &er_fall, &reset_off)?;
                 SignalFunction::Gc { set, reset }
             }
         };

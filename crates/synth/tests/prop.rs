@@ -7,15 +7,16 @@ use a4a_stg::prop_support::{pipeline_output_count, pipeline_stg, pipeline_stg_wi
 use a4a_synth::{extract_next_state, synthesize, verify_si, SynthOptions, SynthStyle};
 
 #[test]
-fn wide_composition_synthesises_via_espresso() {
-    // Two disjoint 10-signal pipelines: 20 signals, beyond the exact
-    // QM enumeration bound, forcing the espresso path.
+fn wide_composition_synthesises_exactly() {
+    // Two disjoint 10-signal pipelines: 20 signals, a 2^20 code space
+    // of which only the reachable codes are care points.
     let a = pipeline_stg(10, u64::MAX);
     let b = pipeline_stg_with_prefix(10, u64::MAX, "t");
     let wide = a.compose(&b).expect("disjoint");
     assert!(wide.signal_count() > 18);
     let synth = synthesize(&wide, &SynthOptions::new(SynthStyle::ComplexGate))
-        .expect("espresso path");
+        .expect("exact minimisation");
+    assert_eq!(synth.literal_count(), 18);
     let report = verify_si(&wide, synth.netlist(), 1_000_000).expect("explore");
     assert!(report.is_clean(), "{:?}", report.violations.first());
 }

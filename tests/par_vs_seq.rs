@@ -443,15 +443,7 @@ fn check_si(label: &str, stg: &Stg, netlist: &Netlist) -> SiReport {
 fn si_reports_par_vs_seq() {
     let mut violations = 0;
     for (name, stg) in builtin_specs() {
-        // Synthesising the phase core alone takes seconds in a debug
-        // build; its hazardous netlist below still covers the widest
-        // joint state space of the corpus.
-        let styles: &[SynthStyle] = if name == "phase_core" {
-            &[]
-        } else {
-            &[SynthStyle::ComplexGate, SynthStyle::GeneralizedC]
-        };
-        for &style in styles {
+        for style in [SynthStyle::ComplexGate, SynthStyle::GeneralizedC] {
             let syn = synthesize(&stg, &SynthOptions::new(style))
                 .unwrap_or_else(|e| panic!("{name} {style:?}: {e}"));
             let report = check_si(&format!("{name} {style:?}"), &stg, syn.netlist());
