@@ -348,14 +348,11 @@ mod tests {
     /// primes that cover an ON minterm. It enumerates the full `2^n`
     /// cube, so it serves only as the reference for [`primes`].
     fn qm_primes(nvars: usize, on_list: &[u64], off_list: &[u64]) -> Vec<Cube> {
-        // Care-set primes: start from all non-OFF minterms (ON ∪ DC) and merge.
-        // Cubes are bucketed by (free-variable mask, positive-literal count);
-        // a QM merge only ever pairs cubes in adjacent buckets of the same
-        // free mask, which keeps the pass near-linear in practice. Each
-        // generation lives in a sorted `Vec` — sorting by (bucket, raw key)
-        // makes the buckets contiguous runs, duplicates adjacent, and the
-        // whole pass allocation-light; the `HashSet` churn this replaces
-        // rebuilt three hash tables per generation.
+        // Start from all non-OFF minterms (ON ∪ DC) and merge. Cubes are
+        // bucketed by (free-variable mask, positive-literal count); a QM
+        // merge only ever pairs cubes in adjacent buckets of the same free
+        // mask. Sorting each generation by (bucket, raw key) makes the
+        // buckets contiguous runs and duplicates adjacent.
         let space = 1u64 << nvars;
         let mut current: Vec<Cube> = (0..space)
             .filter(|m| off_list.binary_search(m).is_err())
