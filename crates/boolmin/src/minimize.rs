@@ -210,15 +210,14 @@ fn minimal_hitting_sets(rows: &[u64], chosen: u64, cand: u64, emit: &mut impl Fn
 
 /// Selects a cover from `primes`: essentials first, then the cyclic
 /// core by Petrick's method or, beyond the exact budget, greedily.
-/// `on_list` is the sorted, deduplicated ON-set.
-fn select(problem: &Minimize<'_>, on_list: Vec<u64>, mut primes: Vec<Cube>) -> Cover {
+/// `uncovered` starts as the sorted, deduplicated ON-set.
+fn select(problem: &Minimize<'_>, mut uncovered: Vec<u64>, mut primes: Vec<Cube>) -> Cover {
     primes.sort_by_cached_key(|p| (p.literal_count(), format!("{p}")));
 
     // Essential primes first. The two minterm work lists swap roles each
     // round instead of reallocating, and the covering scan stops at the
     // second hit — only a unique coverer is ever looked at again.
     let mut chosen: Vec<Cube> = Vec::new();
-    let mut uncovered: Vec<u64> = on_list.clone();
     let mut still_uncovered: Vec<u64> = Vec::new();
     loop {
         let mut essential_found = false;
