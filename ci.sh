@@ -8,9 +8,11 @@
 #   1. cold-cache offline release build
 #   2. offline test run (root package tier-1, then the whole workspace,
 #      then the benchmark's own tests in perfbench/)
-#   3. the parallel/sequential differential suite at 1, 2, and 8
-#      threads, so the global-pool entry points are exercised at every
-#      thread count the determinism contract promises
+#   3. the parallel/sequential differential suite (with the parser's
+#      initial-value inference tests) and the interner and VerifyReport
+#      goldens at 1, 2, and 8 threads, so the global-pool entry points
+#      are exercised at every thread count the determinism contract
+#      promises
 #   4. smoke tier: every bench binary end-to-end into a scratch results
 #      dir, checking CSV headers/row counts against results/ and
 #      rejecting NaN/inf cells
@@ -155,11 +157,11 @@ cargo test -q --offline --workspace
 echo "==> cargo test -q --release --offline (perfbench's own tests)"
 cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 
-echo "==> par vs seq + interner golden suites at A4A_THREADS=1,2,8"
+echo "==> par vs seq + interner/verify golden suites at A4A_THREADS=1,2,8"
 for t in 1 2 8; do
     echo "    A4A_THREADS=$t"
     A4A_THREADS=$t cargo test -q --offline --test par_vs_seq \
-        --test interner_golden > /dev/null
+        --test interner_golden --test verify_golden > /dev/null
 done
 echo "OK: differential + golden suites at every thread count"
 

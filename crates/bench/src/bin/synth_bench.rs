@@ -3,7 +3,7 @@
 //! pipeline that backs every verification claim in the repo (DESIGN.md
 //! §2's exact-reachability substitution).
 //!
-//! Seven metrics, median-of-N via [`a4a_rt::bench::Bencher`]:
+//! Eight metrics, median-of-N via [`a4a_rt::bench::Bencher`]:
 //!
 //! * `synth/state_graph_token_ring_x1000` — 1000 state-graph builds of
 //!   the composed token ring (the widest shipped net, 20 places);
@@ -23,7 +23,10 @@
 //!   extracted once in set-up: the real STG instance the flow spends its
 //!   minimisation time on;
 //! * `synth/verify_si_celem` — conformance + hazard verification of the
-//!   synthesised C-element against its specification.
+//!   synthesised C-element against its specification;
+//! * `synth/verify_g_composed_wide` — the `a4a verify` path (`.g` parse
+//!   with initial values inferred, state graph, sanity checks) on three
+//!   composed 16-signal pipelines: 48 signals, 32 768 states.
 //!
 //! Results go to stdout as JSON lines and to `BENCH_synth.json` at the
 //! repo root (override with `A4A_BENCH_OUT`), the tracked single-thread
@@ -158,6 +161,21 @@ fn main() {
         let report = verify_si(&stg, synth.netlist(), 100_000).expect("verification completes");
         assert!(report.is_clean());
         report.states
+    }));
+
+    // The widest `.g` the verify path reads: every signal starts low, so
+    // `to_g` writes no `.initial_state` and the parser infers the values.
+    let wide_g = [("a", 0xa5a5), ("b", 0x5a5a), ("c", 0x3c3c)]
+        .into_iter()
+        .map(|(prefix, mask)| prop_support::pipeline_stg_with_prefix(16, mask, prefix))
+        .reduce(|acc, p| acc.compose(&p).expect("prefixed pipelines compose"))
+        .expect("three pipelines")
+        .to_g();
+    results.push(bencher.bench("synth/verify_g_composed_wide", || {
+        let stg = a4a_stg::Stg::parse_g(&wide_g).expect("composed pipelines parse");
+        let sg = stg.state_graph(1_000_000).expect("composed pipelines are consistent");
+        assert!(stg.verify(&sg).is_clean());
+        sg.state_count()
     }));
 
     let path = std::env::var_os("A4A_BENCH_OUT")

@@ -81,7 +81,36 @@ impl<S, L: Copy, I: StateIndex> StateSpace<S, L, I> {
         initial: S,
         max_states: usize,
         expand: impl Fn(&S, &mut Vec<Step<S, L, F>>) + Sync,
+        on_fault: impl FnMut(&Self, I, L, F) -> Result<(), E>,
+    ) -> Result<Self, E>
+    where
+        S: Hash + Eq + Send + Sync,
+        L: Send,
+        F: Send,
+        E: From<ExploreError>,
+    {
+        Self::explore_until(pool, initial, max_states, expand, on_fault, |_, _| false)
+    }
+
+    /// [`StateSpace::explore`] with a stop condition: after each state's
+    /// steps are merged, `done(space, id)` is asked whether to stop, in
+    /// merge order. On `true` exploration ends at once and returns the
+    /// space as it stands: every state discovered so far, with complete
+    /// successor lists for `id` and the states merged before it and
+    /// empty ones after. Like everything the merge decides, where it
+    /// stops is the same for every thread count.
+    ///
+    /// # Errors
+    ///
+    /// As for [`StateSpace::explore`], for the states merged before the
+    /// stop.
+    pub fn explore_until<F, E>(
+        pool: &Pool,
+        initial: S,
+        max_states: usize,
+        expand: impl Fn(&S, &mut Vec<Step<S, L, F>>) + Sync,
         mut on_fault: impl FnMut(&Self, I, L, F) -> Result<(), E>,
+        mut done: impl FnMut(&Self, I) -> bool,
     ) -> Result<Self, E>
     where
         S: Hash + Eq + Send + Sync,
@@ -128,6 +157,9 @@ impl<S, L: Copy, I: StateIndex> StateSpace<S, L, I> {
                 });
                 space.merge_firings(i, steps.drain(..), max_states, &mut table, &mut on_fault)?;
                 scratch = steps;
+                if done(&space, I::from_index(i as u32)) {
+                    return Ok(space);
+                }
             }
             level_start = level_end;
         }

@@ -67,6 +67,28 @@ fn packed_word(word0: u64, rest: &[u64], w: usize) -> u64 {
     }
 }
 
+/// A borrowed view of a packed marking's words, for the enabling kernel
+/// in [`crate::PetriNet::for_each_enabled`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PackedWords<'a> {
+    word0: u64,
+    rest: &'a [u64],
+}
+
+impl<'a> PackedWords<'a> {
+    /// The words in place order (word 0 is zero for a zero-place net).
+    pub(crate) fn words(self) -> impl Iterator<Item = u64> + 'a {
+        std::iter::once(self.word0).chain(self.rest.iter().copied())
+    }
+
+    /// `true` when every place of `mask` (one bit per place) is marked.
+    pub(crate) fn covers(self, mask: &[u64]) -> bool {
+        mask.iter()
+            .enumerate()
+            .all(|(i, &m)| packed_word(self.word0, self.rest, i) & m == m)
+    }
+}
+
 impl Default for Marking {
     fn default() -> Self {
         Marking {
@@ -179,6 +201,44 @@ impl Marking {
                 }
             }
         }
+    }
+
+    /// The packed words, or `None` for a dense marking.
+    pub(crate) fn packed_words(&self) -> Option<PackedWords<'_>> {
+        match &self.repr {
+            Repr::Packed { word0, rest, .. } => Some(PackedWords { word0: *word0, rest }),
+            Repr::Dense(_) => None,
+        }
+    }
+
+    /// Fires a transition whose arcs all weigh 1 on a packed marking:
+    /// `(m & !take) | give`, word by word. `None` when the marking is
+    /// dense or a given place keeps a token, i.e. when firing would put
+    /// a second token there and the caller must take the arc path.
+    pub(crate) fn fire_masked(&self, take: &[u64], give: &[u64]) -> Option<Marking> {
+        let Repr::Packed { word0, rest, places } = &self.repr else {
+            return None;
+        };
+        let step = |i: usize, w: u64| {
+            let kept = w & !take[i];
+            (kept & give[i] == 0).then_some(kept | give[i])
+        };
+        if take.is_empty() {
+            return Some(self.clone());
+        }
+        let word0 = step(0, *word0)?;
+        let rest = rest
+            .iter()
+            .enumerate()
+            .map(|(i, &w)| step(i + 1, w))
+            .collect::<Option<Vec<u64>>>()?;
+        Some(Marking {
+            repr: Repr::Packed {
+                word0,
+                rest,
+                places: *places,
+            },
+        })
     }
 
     /// Converts to the dense (`Vec<u32>`) representation — the reference

@@ -92,6 +92,80 @@ pub enum ArcKind {
 pub struct PetriNet {
     pub(crate) places: Vec<Place>,
     pub(crate) transitions: Vec<Transition>,
+    kernel: Kernel,
+}
+
+/// The flat tables behind the packed-marking fast path of
+/// [`PetriNet::for_each_enabled`] and [`PetriNet::try_fire`], built once
+/// by [`NetBuilder::build`]. Bitsets are little-endian `u64` words.
+#[derive(Debug, Clone)]
+struct Kernel {
+    /// Words per place bitset (one bit per place).
+    place_words: usize,
+    /// Words per transition bitset (one bit per transition).
+    transition_words: usize,
+    /// For each place, the transitions that consume or read it.
+    consumers: Vec<u64>,
+    /// Transitions with an empty preset: candidates in every marking.
+    sources: Vec<u64>,
+    /// Transitions whose arcs all weigh 1: the ones with masks.
+    unit: Vec<u64>,
+    /// For each transition, three place bitsets: `need` (consumed or
+    /// read), `take` (consumed) and `give` (produced). Zero for
+    /// transitions outside `unit`.
+    masks: Vec<u64>,
+}
+
+impl Kernel {
+    fn new(places: usize, transitions: &[Transition]) -> Kernel {
+        let place_words = places.div_ceil(64);
+        let transition_words = transitions.len().div_ceil(64);
+        let mut k = Kernel {
+            place_words,
+            transition_words,
+            consumers: vec![0; places * transition_words],
+            sources: vec![0; transition_words],
+            unit: vec![0; transition_words],
+            masks: vec![0; transitions.len() * 3 * place_words],
+        };
+        for (i, tr) in transitions.iter().enumerate() {
+            let (w, bit) = (i / 64, 1u64 << (i % 64));
+            let preset = || tr.consume.iter().chain(&tr.read);
+            for &(p, _) in preset() {
+                k.consumers[p.index() * transition_words + w] |= bit;
+            }
+            if preset().next().is_none() {
+                k.sources[w] |= bit;
+            }
+            if preset().chain(&tr.produce).any(|&(_, weight)| weight != 1) {
+                continue;
+            }
+            k.unit[w] |= bit;
+            let base = i * 3 * place_words;
+            let arcs: [&mut dyn Iterator<Item = &(PlaceId, u32)>; 3] =
+                [&mut preset(), &mut tr.consume.iter(), &mut tr.produce.iter()];
+            for (kind, arcs) in arcs.into_iter().enumerate() {
+                for &(p, _) in arcs {
+                    let p = p.index();
+                    k.masks[base + kind * place_words + p / 64] |= 1 << (p % 64);
+                }
+            }
+        }
+        k
+    }
+
+    /// The (need, take, give) masks of `t`, or `None` if `t` has a
+    /// weighted arc.
+    #[inline]
+    fn masks(&self, t: TransitionId) -> Option<(&[u64], &[u64], &[u64])> {
+        let i = t.index();
+        if self.unit[i / 64] >> (i % 64) & 1 == 0 {
+            return None;
+        }
+        let pw = self.place_words;
+        let m = &self.masks[i * 3 * pw..(i + 1) * 3 * pw];
+        Some((&m[..pw], &m[pw..2 * pw], &m[2 * pw..]))
+    }
 }
 
 impl PetriNet {
@@ -182,9 +256,53 @@ impl PetriNet {
 
     /// All transitions enabled in `marking`, in id order.
     pub fn enabled(&self, marking: &Marking) -> Vec<TransitionId> {
-        self.transition_ids()
-            .filter(|&t| self.is_enabled(t, marking))
-            .collect()
+        let mut out = Vec::new();
+        self.for_each_enabled(marking, |t| out.push(t));
+        out
+    }
+
+    /// Calls `f` for every transition enabled in `marking`, in id order:
+    /// the enabling kernel every explorer expands its states with.
+    ///
+    /// On a packed marking ([`Marking::pack_if_safe`]) only candidates
+    /// are tested: the transitions that consume or read a marked place,
+    /// plus those with an empty preset. A candidate whose arcs all weigh
+    /// 1 is enabled when its preset mask is covered (`m & need == need`);
+    /// any other goes through [`PetriNet::is_enabled`]. A dense marking
+    /// tests every transition with [`PetriNet::is_enabled`], the arc-list
+    /// definition the fast path is held to.
+    pub fn for_each_enabled(&self, marking: &Marking, mut f: impl FnMut(TransitionId)) {
+        let Some(packed) = marking.packed_words() else {
+            for t in self.transition_ids() {
+                if self.is_enabled(t, marking) {
+                    f(t);
+                }
+            }
+            return;
+        };
+        let k = &self.kernel;
+        let tw = k.transition_words;
+        for w in 0..tw {
+            let mut candidates = k.sources[w];
+            for (pw, mut bits) in packed.words().enumerate() {
+                while bits != 0 {
+                    let p = pw * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    candidates |= k.consumers[p * tw + w];
+                }
+            }
+            while candidates != 0 {
+                let t = TransitionId((w * 64) as u32 + candidates.trailing_zeros());
+                candidates &= candidates - 1;
+                let enabled = match k.masks(t) {
+                    Some((need, _, _)) => packed.covers(need),
+                    None => self.is_enabled(t, marking),
+                };
+                if enabled {
+                    f(t);
+                }
+            }
+        }
     }
 
     /// Fires `t` in `marking`, returning the successor marking.
@@ -205,17 +323,26 @@ impl PetriNet {
     /// `u32::MAX` tokens — the fallible form the state-space explorers
     /// use so an absurdly unbounded net fails cleanly mid-BFS.
     ///
+    /// A packed marking fires a transition whose arcs all weigh 1 with
+    /// word masks, `(m & !take) | give`; when a produced place already
+    /// holds a token it takes the arc path, which leaves the marking
+    /// dense.
+    ///
     /// # Panics
     ///
     /// Panics if `t` is not enabled — callers must check with
     /// [`PetriNet::is_enabled`] first.
     pub fn try_fire(&self, t: TransitionId, marking: &Marking) -> Result<Marking, TokenOverflow> {
-        assert!(
-            self.is_enabled(t, marking),
-            "transition {} is not enabled",
-            self.transition(t).name
-        );
         let tr = self.transition(t);
+        let masks = self.kernel.masks(t);
+        let enabled = match (marking.packed_words(), masks) {
+            (Some(packed), Some((need, _, _))) => packed.covers(need),
+            _ => self.is_enabled(t, marking),
+        };
+        assert!(enabled, "transition {} is not enabled", tr.name);
+        if let Some(next) = masks.and_then(|(_, take, give)| marking.fire_masked(take, give)) {
+            return Ok(next);
+        }
         let mut next = marking.clone();
         for &(p, w) in &tr.consume {
             next.remove(p, w);
@@ -386,6 +513,7 @@ impl NetBuilder {
     /// Finalises the builder into an immutable net.
     pub fn build(self) -> PetriNet {
         PetriNet {
+            kernel: Kernel::new(self.places.len(), &self.transitions),
             places: self.places,
             transitions: self.transitions,
         }

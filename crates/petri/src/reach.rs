@@ -195,11 +195,9 @@ impl PetriNet {
     ) -> Result<ReachabilityGraph, ExploreError> {
         let expand =
             |marking: &Marking, out: &mut Vec<Step<Marking, TransitionId, ExploreError>>| {
-                for t in self.transition_ids() {
-                    if self.is_enabled(t, marking) {
-                        out.push((t, self.try_fire_named(t, marking)));
-                    }
-                }
+                self.for_each_enabled(marking, |t| {
+                    out.push((t, self.try_fire_named(t, marking)));
+                });
             };
         StateSpace::explore(pool, initial, max_states, expand, |_, _, _, e| Err(e))
     }

@@ -182,3 +182,100 @@ fn unsafe_and_safe_markings_stay_distinct() {
         Ok(())
     });
 }
+
+/// The enabling kernel and mask firing agree with the arc-list
+/// definitions (`is_enabled` on every transition, `try_fire` of a dense
+/// marking) on random nets: weighted, read and self-loop arcs, source
+/// transitions, up to 160 places and 160 transitions, packed and dense
+/// markings. A firing that puts a second token on a place must leave
+/// the packed representation; every other firing of a packed marking
+/// must stay packed.
+#[test]
+fn enabling_kernel_matches_arc_lists() {
+    use a4a_petri::Marking;
+    use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+
+    static WIDE: AtomicUsize = AtomicUsize::new(0);
+    static FALLBACKS: AtomicUsize = AtomicUsize::new(0);
+    static WEIGHTED: AtomicUsize = AtomicUsize::new(0);
+    static SOURCES: AtomicUsize = AtomicUsize::new(0);
+    prop::check("enabling_kernel_matches_arc_lists", |g: &mut Gen| -> PropResult {
+        let places = g.usize(1..161);
+        let transitions = g.usize(1..161);
+        if places > 64 && transitions > 64 {
+            WIDE.fetch_add(1, Relaxed);
+        }
+        let mut b = NetBuilder::new();
+        let ps: Vec<_> = (0..places).map(|i| b.place(format!("p{i}"))).collect();
+        for i in 0..transitions {
+            let t = b.transition(format!("t{i}"));
+            let weight = |g: &mut Gen| if g.u64(0..8) == 0 { 2 } else { 1 };
+            // Arcs of each kind go to distinct places; a place may carry
+            // arcs of several kinds (self-loops, read-and-produce).
+            let mut arcs = |g: &mut Gen, max: usize| {
+                let mut used = Vec::new();
+                for _ in 0..g.usize(0..max) {
+                    let p = g.usize(0..places);
+                    if !used.contains(&p) {
+                        used.push(p);
+                    }
+                }
+                used.into_iter().map(|p| (ps[p], weight(g))).collect::<Vec<_>>()
+            };
+            let (consume, read, produce) = (arcs(g, 4), arcs(g, 3), arcs(g, 4));
+            if consume.is_empty() && read.is_empty() {
+                SOURCES.fetch_add(1, Relaxed);
+            }
+            if consume.iter().chain(&read).chain(&produce).any(|&(_, w)| w > 1) {
+                WEIGHTED.fetch_add(1, Relaxed);
+            }
+            for (p, w) in consume {
+                b.arc_pt_weighted(p, t, w);
+            }
+            for (p, w) in read {
+                b.arc_read_weighted(p, t, w);
+            }
+            for (p, w) in produce {
+                b.arc_tp_weighted(t, p, w);
+            }
+        }
+        let net = b.build();
+        let unsafe_marking = g.u64(0..4) == 0;
+        let tokens: Vec<u32> = (0..places)
+            .map(|_| match g.u64(0..8) {
+                0..=3 => 0,
+                7 if unsafe_marking => 2,
+                _ => 1,
+            })
+            .collect();
+        let dense = Marking::new(tokens);
+        let packed = dense.clone().pack_if_safe();
+        prop_assert_eq!(packed.is_packed(), dense.is_safe());
+        let reference: Vec<_> = net
+            .transition_ids()
+            .filter(|&t| net.is_enabled(t, &dense))
+            .collect();
+        prop_assert_eq!(net.enabled(&dense), reference.clone());
+        prop_assert_eq!(net.enabled(&packed), reference.clone());
+        for t in reference {
+            let want = net.try_fire(t, &dense).unwrap();
+            let got = net.try_fire(t, &packed).unwrap();
+            prop_assert_eq!(&got, &want);
+            if packed.is_packed() {
+                prop_assert_eq!(got.is_packed(), want.is_safe());
+                if !want.is_safe() {
+                    FALLBACKS.fetch_add(1, Relaxed);
+                }
+            }
+        }
+        Ok(())
+    });
+    for (what, count) in [
+        ("nets over 64 places and 64 transitions", &WIDE),
+        ("second-token fallbacks", &FALLBACKS),
+        ("weighted transitions", &WEIGHTED),
+        ("source transitions", &SOURCES),
+    ] {
+        assert!(count.load(Relaxed) > 0, "no case exercised {what}");
+    }
+}

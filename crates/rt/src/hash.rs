@@ -12,7 +12,8 @@
 //! * [`FxHashMap`] / [`FxHashSet`]: drop-in aliases for `std`
 //!   collections built on it;
 //! * [`IdTable`]: an id-interner — an open-addressed table storing only
-//!   `(hash, id)` pairs, where `id` indexes the caller's arena. Keys
+//!   a hash tag and an id in eight bytes per slot, where `id` indexes
+//!   the caller's arena. Keys
 //!   live **once** (in the arena), not cloned into the map; lookups
 //!   compare against the arena through a caller-supplied closure. This
 //!   is the raw-table pattern `hashbrown` exposes on nightly, sized down
@@ -116,6 +117,9 @@ pub fn fx_hash_one<T: Hash + ?Sized>(value: &T) -> u64 {
 /// explorer guarantees by rejecting `max_states > u32::MAX` up front.
 const EMPTY: u32 = u32::MAX;
 
+/// A vacant slot: any tag, the sentinel id.
+const VACANT: u64 = EMPTY as u64;
+
 /// An id-interner: hash → arena-index table that never stores keys.
 ///
 /// The caller keeps the keys in an arena (`Vec<K>`) and registers each
@@ -124,6 +128,11 @@ const EMPTY: u32 = u32::MAX;
 /// exist exactly once in memory — the pattern that de-duplicates the
 /// `HashMap<Marking, StateId>` + `Vec<Marking>` double storage of the
 /// pre-interner explorers.
+///
+/// Each slot is one `u64`: the high 32 bits of the key's hash as a tag
+/// (which also picks the home slot) and the id. The table grows to stay
+/// at most half full, where linear probing averages under two probes per
+/// lookup. Slots never affect ids: ids are whatever the caller inserts.
 ///
 /// ```
 /// use a4a_rt::hash::{fx_hash_one, IdTable};
@@ -147,8 +156,9 @@ const EMPTY: u32 = u32::MAX;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct IdTable {
-    /// Power-of-two slot array of `(hash, id)`; `id == EMPTY` is vacant.
-    entries: Vec<(u64, u32)>,
+    /// Power-of-two slot array of `tag << 32 | id`; `id == EMPTY` is
+    /// vacant.
+    entries: Vec<u64>,
     len: usize,
 }
 
@@ -178,20 +188,22 @@ impl IdTable {
     }
 
     /// Looks up the id registered under `hash` whose arena entry matches,
-    /// probing with `eq(id)` for each same-hash candidate.
+    /// probing with `eq(id)` for each candidate with the same tag.
     #[inline]
     pub fn get(&self, hash: u64, mut eq: impl FnMut(u32) -> bool) -> Option<u32> {
         if self.entries.is_empty() {
             return None;
         }
+        let tag = tag(hash);
         let mask = self.entries.len() - 1;
-        let mut idx = slot(hash, mask);
+        let mut idx = slot(tag, mask);
         loop {
-            let (h, id) = self.entries[idx];
+            let entry = self.entries[idx];
+            let id = entry as u32;
             if id == EMPTY {
                 return None;
             }
-            if h == hash && eq(id) {
+            if (entry >> 32) as u32 == tag && eq(id) {
                 return Some(id);
             }
             idx = (idx + 1) & mask;
@@ -207,58 +219,62 @@ impl IdTable {
     /// Panics if `id` is `u32::MAX` (reserved as the vacant sentinel).
     pub fn insert(&mut self, hash: u64, id: u32) {
         assert!(id != EMPTY, "id u32::MAX is reserved");
-        // Keep load below 7/8.
-        if self.entries.is_empty() || (self.len + 1) * 8 > self.entries.len() * 7 {
+        // Keep load at most 1/2.
+        if (self.len + 1) * 2 > self.entries.len() {
             let want = (self.entries.len() * 2).max(8);
             self.grow_to(want);
         }
-        let mask = self.entries.len() - 1;
-        let mut idx = slot(hash, mask);
-        while self.entries[idx].1 != EMPTY {
-            idx = (idx + 1) & mask;
-        }
-        self.entries[idx] = (hash, id);
+        self.place(u64::from(tag(hash)) << 32 | u64::from(id));
         self.len += 1;
     }
 
     /// Drops every id but keeps the allocation — the per-call reuse hook
     /// for benchmark loops and repeated explorations.
     pub fn clear(&mut self) {
-        for e in &mut self.entries {
-            *e = (0, EMPTY);
-        }
+        self.entries.fill(VACANT);
         self.len = 0;
+    }
+
+    /// Stores `entry` in the first vacant slot from its home slot on.
+    fn place(&mut self, entry: u64) {
+        let mask = self.entries.len() - 1;
+        let mut idx = slot((entry >> 32) as u32, mask);
+        while self.entries[idx] as u32 != EMPTY {
+            idx = (idx + 1) & mask;
+        }
+        self.entries[idx] = entry;
     }
 
     fn grow_to(&mut self, slots: usize) {
         debug_assert!(slots.is_power_of_two());
-        let old = std::mem::replace(&mut self.entries, vec![(0, EMPTY); slots]);
-        let mask = slots - 1;
-        for (h, id) in old {
-            if id == EMPTY {
-                continue;
+        let old = std::mem::replace(&mut self.entries, vec![VACANT; slots]);
+        for entry in old {
+            if entry as u32 != EMPTY {
+                self.place(entry);
             }
-            let mut idx = slot(h, mask);
-            while self.entries[idx].1 != EMPTY {
-                idx = (idx + 1) & mask;
-            }
-            self.entries[idx] = (h, id);
         }
     }
 }
 
-/// The home slot of `hash` in a table of `mask + 1` slots: FxHash ends
-/// in a multiply, so only its high bits mix the whole input (the low
-/// bits of a packed marking's hash see only its first places).
+/// The tag of `hash`: its high half. FxHash ends in a multiply, so only
+/// its high bits mix the whole input (the low bits of a packed
+/// marking's hash see only its first places).
 #[inline]
-fn slot(hash: u64, mask: usize) -> usize {
-    hash.rotate_left(26) as usize & mask
+fn tag(hash: u64) -> u32 {
+    (hash >> 32) as u32
 }
 
-/// Smallest power-of-two slot count keeping `ids` below 7/8 load.
+/// The home slot of `tag` in a table of `mask + 1` slots: the tag's bits
+/// from bit 6 up, so tables of up to 2^26 slots take their home from the
+/// top 26 bits of the hash.
+#[inline]
+fn slot(tag: u32, mask: usize) -> usize {
+    tag.rotate_right(6) as usize & mask
+}
+
+/// Smallest power-of-two slot count keeping `ids` at most 1/2 load.
 fn slots_for(ids: usize) -> usize {
-    let min = ids * 8 / 7 + 1;
-    min.next_power_of_two().max(8)
+    (ids * 2).next_power_of_two().max(8)
 }
 
 #[cfg(test)]
@@ -363,8 +379,8 @@ mod tests {
         }
         let mut longest = 0;
         let mut run = 0;
-        for &(_, id) in &table.entries {
-            run = if id == EMPTY { 0 } else { run + 1 };
+        for &entry in &table.entries {
+            run = if entry as u32 == EMPTY { 0 } else { run + 1 };
             longest = longest.max(run);
         }
         assert!(longest <= 16, "longest occupied probe run {longest}");

@@ -18,11 +18,14 @@ impl Stg {
     ///
     /// # Errors
     ///
-    /// Returns [`StgError::Parse`] on malformed input,
-    /// [`StgError::StateLimit`] if initial-value inference has to explore
-    /// more than an internal budget of markings, and
-    /// [`StgError::TokenOverflow`] if a firing explored there overflows a
-    /// place's token counter.
+    /// Returns [`StgError::Parse`] on malformed input. Without an
+    /// `.initial_state` line, initial values are inferred by exploring
+    /// breadth-first only until every signal with an edge transition has
+    /// shown its first edge; only the states explored up to that stop
+    /// can fail it, with [`StgError::StateLimit`] if they exceed an
+    /// internal budget of markings or [`StgError::TokenOverflow`] if one
+    /// of their firings overflows a place's token counter. Limits and
+    /// overflows further out surface when the state graph is built.
     ///
     /// # Examples
     ///
@@ -590,7 +593,10 @@ fn parse_edge_name(
 /// A state is a (marking, parity) pair, where parity bit `i` records
 /// whether signal `i` flipped an odd number of times. "First seen" is
 /// breadth-first discovery order: (state id, transition id) over the
-/// explored graph, which runs on the global pool.
+/// explored graph, which runs on the global pool. The scan runs in the
+/// explorer's merge order and stops it after the state where the last
+/// signal with an edge transition gets its first edge, so the values,
+/// like the states explored, do not depend on the thread count.
 fn infer_initial_values(
     net: &a4a_petri::PetriNet,
     labels: &[Label],
@@ -599,36 +605,50 @@ fn infer_initial_values(
     const BUDGET: usize = 200_000;
     let expand = |&(ref marking, parity): &(Marking, u64),
                   out: &mut Vec<Step<(Marking, u64), TransitionId, StgError>>| {
-        for t in net.transition_ids() {
-            if net.is_enabled(t, marking) {
-                let next_parity = match labels[t.index()] {
-                    Label::Edge(e) => parity ^ e.signal.mask(),
-                    Label::Dummy => parity,
-                };
-                let next = net.try_fire_named(t, marking).map_err(StgError::from);
-                out.push((t, next.map(|next| (next, next_parity))));
+        net.for_each_enabled(marking, |t| {
+            let next_parity = match labels[t.index()] {
+                Label::Edge(e) => parity ^ e.signal.mask(),
+                Label::Dummy => parity,
+            };
+            let next = net.try_fire_named(t, marking).map_err(StgError::from);
+            out.push((t, next.map(|next| (next, next_parity))));
+        });
+    };
+    let mut inferred: Vec<Option<bool>> = vec![None; signals.len()];
+    // Signals without any edge transition can never be seen.
+    let mut unseen = {
+        let mut with_edges = 0u64;
+        for label in labels {
+            if let Label::Edge(e) = label {
+                with_edges |= e.signal.mask();
             }
         }
+        with_edges.count_ones()
+    };
+    let done = |space: &StateSpace<(Marking, u64), TransitionId, u32>, id: u32| {
+        let parity = space.state(id).1;
+        for &(t, _) in space.successors(id) {
+            if let Label::Edge(e) = labels[t.index()] {
+                let value = &mut inferred[e.signal.index()];
+                if value.is_none() {
+                    // Value before firing = initial ^ flipped; must be !target.
+                    let flipped = parity & e.signal.mask() != 0;
+                    *value = Some(!e.polarity.target_value() ^ flipped);
+                    unseen -= 1;
+                }
+            }
+        }
+        unseen == 0
     };
     let initial = (net.initial_marking().pack_if_safe(), 0);
-    let space: StateSpace<_, _, u32> = StateSpace::explore(
+    StateSpace::explore_until(
         a4a_rt::Pool::global(),
         initial,
         BUDGET,
         expand,
         |_, _, _, e| Err(e),
+        done,
     )?;
-    let mut inferred: Vec<Option<bool>> = vec![None; signals.len()];
-    for id in space.state_ids() {
-        let parity = space.state(id).1;
-        for &(t, _) in space.successors(id) {
-            if let Label::Edge(e) = labels[t.index()] {
-                // Value before firing = initial ^ flipped; must be !target.
-                let flipped = parity & e.signal.mask() != 0;
-                inferred[e.signal.index()].get_or_insert(!e.polarity.target_value() ^ flipped);
-            }
-        }
-    }
     for (s, value) in signals.iter_mut().zip(inferred) {
         s.initial = value.unwrap_or(false);
     }

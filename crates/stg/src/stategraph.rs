@@ -204,14 +204,30 @@ impl StateGraph {
         Ok(state)
     }
 
-    /// Groups states by binary code; used by the USC/CSC checks and the
-    /// synthesiser. Per-code state lists are in discovery order.
+    /// Groups states by binary code. Per-code state lists are in
+    /// discovery order.
+    ///
+    /// The map is filled from [`StateGraph::sorted_by_code`], one insert
+    /// per code into a table sized up front: FxHash of a code keeps its
+    /// low bits in the low bits hashbrown indexes with, so growing the
+    /// map state by state re-probes long clusters.
     pub fn states_by_code(&self) -> FxHashMap<u64, Vec<SgStateId>> {
-        let mut map: FxHashMap<u64, Vec<SgStateId>> = FxHashMap::default();
-        for s in self.state_ids() {
-            map.entry(self.code(s)).or_default().push(s);
+        let sorted = self.sorted_by_code();
+        let groups: Vec<&[(u64, SgStateId)]> = sorted.chunk_by(|a, b| a.0 == b.0).collect();
+        let mut map = FxHashMap::with_capacity_and_hasher(groups.len(), Default::default());
+        for group in groups {
+            map.insert(group[0].0, group.iter().map(|&(_, s)| s).collect());
         }
         map
+    }
+
+    /// Every (code, state) pair, ordered by code and then by state id:
+    /// the states sharing a code form one run, in discovery order. The
+    /// USC/CSC checks walk these runs.
+    pub fn sorted_by_code(&self) -> Vec<(u64, SgStateId)> {
+        let mut pairs: Vec<(u64, SgStateId)> = self.state_ids().map(|s| (self.code(s), s)).collect();
+        pairs.sort_unstable();
+        pairs
     }
 }
 
@@ -281,10 +297,7 @@ impl Stg {
         let expand =
             |&(ref marking, code): &(Marking, u64),
              out: &mut Vec<Step<(Marking, u64), TransitionId, StgError>>| {
-                for t in self.net.transition_ids() {
-                    if !self.net.is_enabled(t, marking) {
-                        continue;
-                    }
+                self.net.for_each_enabled(marking, |t| {
                     let next_code = match self.labels[t.index()] {
                         Label::Dummy => code,
                         Label::Edge(e) => {
@@ -299,14 +312,14 @@ impl Stg {
                                         trace: Vec::new(),
                                     }),
                                 ));
-                                continue;
+                                return;
                             }
                             code ^ e.signal.mask()
                         }
                     };
                     let next = self.net.try_fire_named(t, marking).map_err(StgError::from);
                     out.push((t, next.map(|next| (next, next_code))));
-                }
+                });
             };
         let on_fault = |space: &StateSpace<_, _, SgStateId>, from, t, mut err: StgError| {
             if let StgError::Inconsistent { trace, .. } = &mut err {

@@ -3,9 +3,13 @@
 //!
 //! Consistency is checked implicitly by [`Stg::state_graph`] — a
 //! [`StateGraph`] can only exist for a consistent STG.
+//!
+//! The checks share one pass over the edges: each state's enabled signal
+//! edges as a 128-bit mask (see [`edge_bit`]), so persistence and coding
+//! compare masks instead of building per-state edge lists, and coding
+//! conflicts come from one sorted (code, state) list.
 
-
-use crate::{Edge, SgStateId, SignalId, SignalKind, StateGraph, Stg};
+use crate::{Edge, Label, Polarity, SgStateId, SignalId, SignalKind, StateGraph, Stg};
 
 /// An output-persistence violation: an enabled output edge was disabled
 /// by another transition firing.
@@ -97,10 +101,11 @@ impl Stg {
     /// Runs the standard A4A sanity checks over a previously built state
     /// graph.
     pub fn verify(&self, sg: &StateGraph) -> VerifyReport {
+        let edges = enabled_edge_masks(self, sg);
         VerifyReport {
             deadlocks: deadlocks(sg),
-            persistence: output_persistence(self, sg),
-            coding: coding_conflicts(self, sg),
+            persistence: output_persistence(self, sg, &edges),
+            coding: coding_conflicts(self, sg, &edges),
         }
     }
 
@@ -140,33 +145,76 @@ fn deadlocks(sg: &StateGraph) -> Vec<SgStateId> {
         .collect()
 }
 
-fn output_persistence(stg: &Stg, sg: &StateGraph) -> Vec<PersistenceViolation> {
+/// The bit of `edge` in an enabled-edge mask: rising edges in the low
+/// 64 bits and falling edges in the high 64, by signal index.
+fn edge_bit(edge: Edge) -> u128 {
+    let bit = u128::from(edge.signal.mask());
+    match edge.polarity {
+        Polarity::Rising => bit,
+        Polarity::Falling => bit << 64,
+    }
+}
+
+/// Both edges of the signals in `signals`.
+fn both_edges(signals: u64) -> u128 {
+    u128::from(signals) | u128::from(signals) << 64
+}
+
+/// The signals with an enabled edge in `edges`: the excited ones.
+fn excited(edges: u128) -> u64 {
+    edges as u64 | (edges >> 64) as u64
+}
+
+/// For each state, the signal edges its enabled transitions realise
+/// (dummies contribute none).
+fn enabled_edge_masks(stg: &Stg, sg: &StateGraph) -> Vec<u128> {
+    sg.state_ids()
+        .map(|s| {
+            sg.successors(s).iter().fold(0, |m, &(t, _)| match stg.label(t) {
+                Label::Edge(e) => m | edge_bit(e),
+                Label::Dummy => m,
+            })
+        })
+        .collect()
+}
+
+/// The signals of `stg` for which `keep` holds, as a code mask.
+fn signal_mask(stg: &Stg, keep: impl Fn(SignalKind) -> bool) -> u64 {
+    stg.signal_ids()
+        .filter(|&s| keep(stg.signal(s).kind))
+        .fold(0, |m, s| m | s.mask())
+}
+
+fn output_persistence(stg: &Stg, sg: &StateGraph, edges: &[u128]) -> Vec<PersistenceViolation> {
+    let outputs = both_edges(signal_mask(stg, SignalKind::is_implemented));
     let mut violations = Vec::new();
     for s in sg.state_ids() {
-        let enabled = sg.enabled_edges(stg, s);
-        let outputs: Vec<Edge> = enabled
-            .into_iter()
-            .filter(|e| stg.signal(e.signal).kind.is_implemented())
-            .collect();
-        if outputs.is_empty() {
+        let enabled = edges[s.index()] & outputs;
+        if enabled == 0 {
             continue;
         }
         for &(t, succ) in sg.successors(s) {
-            let fired = stg.label(t).edge();
-            let after = sg.enabled_edges(stg, succ);
-            for &out in &outputs {
-                if fired == Some(out) {
-                    continue; // the edge itself fired
-                }
-                // Firing an edge of the same signal counts as the signal
-                // making progress (choice between multiple transitions of
-                // one edge is not a persistence violation).
-                if let Some(f) = fired {
-                    if f.signal == out.signal {
-                        continue;
-                    }
-                }
-                if !after.contains(&out) {
+            // An output edge stays excited if it is still enabled after
+            // the firing, or if the firing is an edge of its own signal:
+            // the edge itself, or a choice between transitions of one
+            // edge, which is the signal making progress.
+            let progressed = match stg.label(t) {
+                Label::Edge(f) => both_edges(f.signal.mask()),
+                Label::Dummy => 0,
+            };
+            let disabled = enabled & !edges[succ.index()] & !progressed;
+            if disabled == 0 {
+                continue;
+            }
+            // Report in the order the state's transitions enable them.
+            let mut reported = 0u128;
+            for &(u, _) in sg.successors(s) {
+                let Label::Edge(out) = stg.label(u) else {
+                    continue;
+                };
+                let bit = edge_bit(out);
+                if disabled & bit != 0 && reported & bit == 0 {
+                    reported |= bit;
                     violations.push(PersistenceViolation {
                         state: s,
                         disabled: out,
@@ -184,28 +232,18 @@ fn output_persistence(stg: &Stg, sg: &StateGraph) -> Vec<PersistenceViolation> {
     violations
 }
 
-fn coding_conflicts(stg: &Stg, sg: &StateGraph) -> Vec<CscConflict> {
-    let non_inputs: Vec<SignalId> = stg
-        .signal_ids()
-        .filter(|&s| stg.signal(s).kind != SignalKind::Input)
-        .collect();
+fn coding_conflicts(stg: &Stg, sg: &StateGraph, edges: &[u128]) -> Vec<CscConflict> {
+    let non_inputs = signal_mask(stg, |k| k != SignalKind::Input);
     let mut conflicts = Vec::new();
-    let mut by_code: a4a_rt::FxHashMap<u64, Vec<SgStateId>> = sg.states_by_code();
-    let mut codes: Vec<u64> = by_code.keys().copied().collect();
-    codes.sort_unstable();
-    for code in codes {
-        let states = by_code.remove(&code).expect("key from map");
-        if states.len() < 2 {
-            continue;
-        }
-        for i in 0..states.len() {
-            for j in (i + 1)..states.len() {
-                let (x, y) = (states[i], states[j]);
-                let signals: Vec<SignalId> = non_inputs
-                    .iter()
-                    .copied()
-                    .filter(|&sig| sg.is_excited(stg, x, sig) != sg.is_excited(stg, y, sig))
-                    .collect();
+    for group in sg.sorted_by_code().chunk_by(|a, b| a.0 == b.0) {
+        for (i, &(code, x)) in group.iter().enumerate() {
+            for &(_, y) in &group[i + 1..] {
+                let mut differ = (excited(edges[x.index()]) ^ excited(edges[y.index()])) & non_inputs;
+                let mut signals = Vec::new();
+                while differ != 0 {
+                    signals.push(SignalId::from_index(differ.trailing_zeros() as usize));
+                    differ &= differ - 1;
+                }
                 conflicts.push(CscConflict {
                     first: x,
                     second: y,

@@ -468,9 +468,44 @@ fn si_reports_par_vs_seq() {
     assert!(violations > 0, "the hazardous netlists must be caught");
 }
 
-// Initial-value inference runs on the global pool, so the two tests
-// below compare against known answers; `ci.sh` reruns them at
+// Initial-value inference runs on the global pool, so the tests below
+// compare against known answers; `ci.sh` reruns them at
 // `A4A_THREADS=1`, `2` and `8`.
+
+/// The `.g` text of a composition of handshake pipelines, one per
+/// (prefix, length, output mask, shift), whose ring tokens start `shift`
+/// events in and with no `.initial_state`, plus the initial values the
+/// shifts imply.
+fn shifted_pipelines(pipelines: &[(&str, usize, u64, usize)]) -> (String, Vec<(String, bool)>) {
+    let stg = pipelines
+        .iter()
+        .map(|&(p, n, mask, _)| prop_support::pipeline_stg_with_prefix(n, mask, p))
+        .reduce(|acc, next| acc.compose(&next).unwrap())
+        .unwrap();
+    // The ring of pipeline `p` over `len` signals: rises, then falls.
+    let event = |p: &str, len: usize, i: usize| {
+        let sign = if i % (2 * len) < len { '+' } else { '-' };
+        format!("{p}{}{sign}", i % len)
+    };
+    let arc = |p: &str, len: usize, i: usize| {
+        format!("<{},{}>", event(p, len, i + 2 * len - 1), event(p, len, i))
+    };
+    let mut text = stg.to_g();
+    assert!(!text.contains(".initial_state"), "every signal starts low");
+    let mut expected = Vec::new();
+    for &(p, n, _, k) in pipelines {
+        text = text.replace(&arc(p, n, 0), &arc(p, n, k));
+        expected.extend((0..n).map(|i| (format!("{p}{i}"), (i < k) != (i + n < k))));
+    }
+    (text, expected)
+}
+
+fn assert_initial_values(label: &str, parsed: &Stg, expected: &[(String, bool)]) {
+    for (name, high) in expected {
+        let s = parsed.signal_by_name(name).unwrap();
+        assert_eq!(parsed.signal(s).initial, *high, "{label}: {name}");
+    }
+}
 
 #[test]
 fn inferred_initial_values_par_vs_seq() {
@@ -478,35 +513,61 @@ fn inferred_initial_values_par_vs_seq() {
     // with `.initial_state` left out, the parser must infer exactly the
     // values those prefixes imply.
     for (n, m, k, j) in [(3, 4, 2, 5), (4, 4, 5, 1), (5, 3, 7, 3), (4, 5, 4, 9)] {
-        let a = prop_support::pipeline_stg_with_prefix(n, 0b0110, "a");
-        let b = prop_support::pipeline_stg_with_prefix(m, 0b1010, "b");
-        let ab = a.compose(&b).unwrap();
-        // The ring of pipeline `p` over `len` signals: rises, then falls.
-        let event = |p: &str, len: usize, i: usize| {
-            let sign = if i % (2 * len) < len { '+' } else { '-' };
-            format!("{p}{}{sign}", i % len)
-        };
-        let arc = |p: &str, len: usize, i: usize| {
-            format!("<{},{}>", event(p, len, i + 2 * len - 1), event(p, len, i))
-        };
-        let text = ab
-            .to_g()
-            .replace(&arc("a", n, 0), &arc("a", n, k))
-            .replace(&arc("b", m, 0), &arc("b", m, j));
-        let expected: Vec<(String, bool)> = (0..n)
-            .map(|i| (format!("a{i}"), (i < k) != (i + n < k)))
-            .chain((0..m).map(|i| (format!("b{i}"), (i < j) != (i + m < j))))
-            .collect();
-        let parsed = Stg::parse_g(&text).unwrap_or_else(|e| panic!("n={n} m={m}: {e}\n{text}"));
-        for (name, high) in &expected {
-            let s = parsed.signal_by_name(name).unwrap();
-            assert_eq!(
-                parsed.signal(s).initial,
-                *high,
-                "n={n} m={m} k={k} j={j}: {name}"
-            );
-        }
+        let label = format!("n={n} m={m} k={k} j={j}");
+        let (text, expected) = shifted_pipelines(&[("a", n, 0b0110, k), ("b", m, 0b1010, j)]);
+        let parsed = Stg::parse_g(&text).unwrap_or_else(|e| panic!("{label}: {e}\n{text}"));
+        assert_initial_values(&label, &parsed, &expected);
     }
+}
+
+#[test]
+fn inference_stops_once_every_signal_is_seen() {
+    // Four 16-signal pipelines: 64 signals and 32^4 = 1 048 576 states,
+    // over five times the parser's inference budget. Inference only has
+    // to reach each signal's first edge, so parsing succeeds; the full
+    // state space still trips the limit when the state graph is built.
+    let (text, expected) = shifted_pipelines(&[
+        ("a", 16, 0xa5a5, 3),
+        ("b", 16, 0x5a5a, 17),
+        ("c", 16, 0x3c3c, 31),
+        ("d", 16, 0xc3c3, 8),
+    ]);
+    let parsed = Stg::parse_g(&text).unwrap_or_else(|e| panic!("4x16: {e}"));
+    assert_eq!(parsed.signal_count(), 64);
+    assert_initial_values("4x16", &parsed, &expected);
+    assert_eq!(
+        parsed.state_graph(10_000).unwrap_err(),
+        a4a_stg::StgError::StateLimit { limit: 10_000 }
+    );
+}
+
+#[test]
+fn signals_without_a_reachable_edge_default_to_low() {
+    // `a` and `o` start high (their falls fire first); `b+` waits on a
+    // place nothing marks, and `c` has no transition at all. Inference
+    // explores the whole space looking for `b` and leaves `b` and `c` low.
+    let text = "\
+.model unreachable
+.inputs a b c
+.outputs o
+.graph
+a- o-
+o- a+
+a+ o+
+o+ a-
+p0 b+
+b+ p0
+.marking { <o+,a-> }
+.end
+";
+    let parsed = Stg::parse_g(text).unwrap();
+    let values: Vec<(&str, bool)> = parsed
+        .signals()
+        .iter()
+        .map(|s| (s.name.as_str(), s.initial))
+        .collect();
+    assert_eq!(values, [("a", true), ("b", false), ("c", false), ("o", true)]);
+    assert_eq!(parsed.state_graph(100).unwrap().state_count(), 4);
 }
 
 #[test]
