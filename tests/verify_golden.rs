@@ -12,7 +12,7 @@
 //! only when the change is intended and recorded.
 
 use a4a_rt::{fx_hash_one, Rng};
-use a4a_stg::{Stg, StgBuilder, VerifyReport};
+use a4a_stg::{SignalKind, Stg, StgBuilder, VerifyReport};
 
 /// Every built-in specification: the controller modules, the A2A
 /// elements, the token ring and the phase core.
@@ -124,9 +124,12 @@ fn toggle_ring(rng: &mut Rng, n: usize, len: usize, prefix: &str) -> Stg {
 }
 
 /// Seeded STGs with conflicts: single rings, products of two rings, and
-/// a ring composed with the persistence violation.
+/// a ring composed with the persistence violation; then the same rings
+/// with every signal but the first made internal, so coding conflicts
+/// on internal signals count too.
 fn seeded_stgs() -> Vec<(String, Stg)> {
     let mut out = Vec::new();
+    let mut rings = Vec::new();
     for seed in [1u64, 2, 3] {
         let mut rng = Rng::from_seed(seed);
         let a = toggle_ring(&mut rng, 4, 10, "a");
@@ -137,6 +140,14 @@ fn seeded_stgs() -> Vec<(String, Stg)> {
             format!("ring{seed}xviol"),
             b.compose(&choice_stg(true)).expect("disjoint"),
         ));
+        rings.push((seed, a));
+    }
+    for (seed, ring) in rings {
+        let internal = ring
+            .signal_ids()
+            .skip(1)
+            .fold(ring.clone(), |stg, s| stg.with_signal_kind(s, SignalKind::Internal));
+        out.push((format!("ring{seed}int"), internal));
     }
     out
 }
@@ -209,6 +220,9 @@ const GOLDEN: &[(&str, usize, usize, usize, usize, usize, u64)] = &[
     ("ring3", 12, 0, 0, 10, 8, 0x27699ab7b30ada83),
     ("ring3xring", 120, 0, 0, 388, 224, 0x8820bdcc795a84d4),
     ("ring3xviol", 30, 0, 10, 27, 0, 0xc746c456f64ed5a1),
+    ("ring1int", 12, 0, 0, 3, 3, 0xa264e88f9b365865),
+    ("ring2int", 10, 0, 0, 4, 3, 0x99e9423c606703b8),
+    ("ring3int", 12, 0, 0, 10, 8, 0x4d17c90f3de8be5c),
 ];
 
 #[test]
