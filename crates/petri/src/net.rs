@@ -141,15 +141,16 @@ impl Kernel {
                 continue;
             }
             k.unit[w] |= bit;
-            let base = i * 3 * place_words;
-            let arcs: [&mut dyn Iterator<Item = &(PlaceId, u32)>; 3] =
-                [&mut preset(), &mut tr.consume.iter(), &mut tr.produce.iter()];
-            for (kind, arcs) in arcs.into_iter().enumerate() {
+            let mut mark = |mask: usize, arcs: &[(PlaceId, u32)]| {
                 for &(p, _) in arcs {
                     let p = p.index();
-                    k.masks[base + kind * place_words + p / 64] |= 1 << (p % 64);
+                    k.masks[(i * 3 + mask) * place_words + p / 64] |= 1 << (p % 64);
                 }
-            }
+            };
+            mark(0, &tr.consume);
+            mark(0, &tr.read);
+            mark(1, &tr.consume);
+            mark(2, &tr.produce);
         }
         k
     }

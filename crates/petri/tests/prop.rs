@@ -212,7 +212,7 @@ fn enabling_kernel_matches_arc_lists() {
             let weight = |g: &mut Gen| if g.u64(0..8) == 0 { 2 } else { 1 };
             // Arcs of each kind go to distinct places; a place may carry
             // arcs of several kinds (self-loops, read-and-produce).
-            let mut arcs = |g: &mut Gen, max: usize| {
+            let arcs = |g: &mut Gen, max: usize| {
                 let mut used = Vec::new();
                 for _ in 0..g.usize(0..max) {
                     let p = g.usize(0..places);

@@ -207,10 +207,10 @@ impl StateGraph {
     /// Groups states by binary code. Per-code state lists are in
     /// discovery order.
     ///
-    /// The map is filled from [`StateGraph::sorted_by_code`], one insert
-    /// per code into a table sized up front: FxHash of a code keeps its
-    /// low bits in the low bits hashbrown indexes with, so growing the
-    /// map state by state re-probes long clusters.
+    /// The map is filled from the states sorted by code, one insert per
+    /// code into a table sized up front: FxHash of a code keeps its low
+    /// bits in the low bits hashbrown indexes with, so growing the map
+    /// state by state re-probes long clusters.
     pub fn states_by_code(&self) -> FxHashMap<u64, Vec<SgStateId>> {
         let sorted = self.sorted_by_code();
         let groups: Vec<&[(u64, SgStateId)]> = sorted.chunk_by(|a, b| a.0 == b.0).collect();
@@ -224,8 +224,9 @@ impl StateGraph {
     /// Every (code, state) pair, ordered by code and then by state id:
     /// the states sharing a code form one run, in discovery order. The
     /// USC/CSC checks walk these runs.
-    pub fn sorted_by_code(&self) -> Vec<(u64, SgStateId)> {
-        let mut pairs: Vec<(u64, SgStateId)> = self.state_ids().map(|s| (self.code(s), s)).collect();
+    pub(crate) fn sorted_by_code(&self) -> Vec<(u64, SgStateId)> {
+        let mut pairs: Vec<(u64, SgStateId)> =
+            self.state_ids().map(|s| (self.code(s), s)).collect();
         pairs.sort_unstable();
         pairs
     }
