@@ -5,7 +5,9 @@
 //! machinery they stand on:
 //!
 //! * [`PetriNet`] and [`NetBuilder`] — places, transitions, weighted
-//!   consuming/producing arcs and non-consuming *read arcs*;
+//!   consuming/producing arcs and non-consuming *read arcs*, with one
+//!   enabling kernel ([`PetriNet::for_each_enabled`]) that every
+//!   explorer expands states with;
 //! * [`Marking`] — token vectors with the standard enabledness and firing
 //!   rule;
 //! * [`StateSpace`] — the one breadth-first explorer every explicit

@@ -219,13 +219,14 @@ impl Marking {
         let Repr::Packed { word0, rest, places } = &self.repr else {
             return None;
         };
+        if take.is_empty() {
+            // A net without places: nothing to take or give.
+            return Some(self.clone());
+        }
         let step = |i: usize, w: u64| {
             let kept = w & !take[i];
             (kept & give[i] == 0).then_some(kept | give[i])
         };
-        if take.is_empty() {
-            return Some(self.clone());
-        }
         let word0 = step(0, *word0)?;
         let rest = rest
             .iter()

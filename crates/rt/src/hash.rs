@@ -13,9 +13,9 @@
 //!   collections built on it;
 //! * [`IdTable`]: an id-interner — an open-addressed table storing only
 //!   a hash tag and an id in eight bytes per slot, where `id` indexes
-//!   the caller's arena. Keys
-//!   live **once** (in the arena), not cloned into the map; lookups
-//!   compare against the arena through a caller-supplied closure. This
+//!   the caller's arena. Keys live **once** (in the arena), not cloned
+//!   into the map; lookups compare against the arena through a
+//!   caller-supplied closure. This
 //!   is the raw-table pattern `hashbrown` exposes on nightly, sized down
 //!   to exactly what BFS interning needs.
 //!
