@@ -5,9 +5,10 @@
 //! [`StateGraph`] can only exist for a consistent STG.
 //!
 //! The checks share one pass over the edges: each state's enabled signal
-//! edges as a 128-bit mask (see [`edge_bit`]), so persistence and coding
-//! compare masks instead of building per-state edge lists, and coding
-//! conflicts come from one sorted (code, state) list.
+//! edges as a 128-bit mask (rising edges in the low half, falling in the
+//! high half), so persistence and coding compare masks instead of
+//! building per-state edge lists, and coding conflicts come from one
+//! sorted (code, state) list.
 
 use crate::{Edge, Label, Polarity, SgStateId, SignalId, SignalKind, StateGraph, Stg};
 
