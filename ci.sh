@@ -9,13 +9,15 @@
 #   2. offline test run (root package tier-1, then the whole workspace,
 #      then the benchmark's own tests in perfbench/)
 #   3. the parallel/sequential differential suite (with the parser's
-#      initial-value inference tests) and the interner and VerifyReport
-#      goldens at 1, 2, and 8 threads, so the global-pool entry points
-#      are exercised at every thread count the determinism contract
+#      initial-value inference tests), the interner and VerifyReport
+#      goldens, and the co-simulation stream and event-stream goldens
+#      at 1, 2, and 8 threads, so the global-pool entry points are
+#      exercised at every thread count the determinism contract
 #      promises
 #   4. smoke tier: every bench binary end-to-end into a scratch results
-#      dir, checking CSV headers/row counts against results/ and
-#      rejecting NaN/inf cells
+#      dir; every regenerated CSV must equal the committed one in
+#      results/ byte for byte (a header or row-count change is named
+#      first), and no cell may be NaN/inf
 #   5. fault-injection tier: seeded adversarial scenarios against the
 #      scheduler/analog/testbench layers (deterministic per
 #      A4A_PROP_SEED), asserting typed errors instead of panics
@@ -75,6 +77,10 @@ smoke_tier() {
                  "($(wc -l < "$csv") -> $(wc -l < "$scratch/$name"))" >&2
             ok=0
         fi
+        if ! cmp "$csv" "$scratch/$name" >&2; then
+            echo "ERROR: $name: regenerated CSV differs from the committed one" >&2
+            ok=0
+        fi
     done
     if grep -ilnE '(nan|inf)' "$scratch"/*.csv; then
         echo "ERROR: NaN/inf cell in regenerated CSVs above" >&2
@@ -83,7 +89,7 @@ smoke_tier() {
     if [ "$ok" -ne 1 ]; then
         exit 1
     fi
-    echo "OK: smoke tier (headers, row counts, finite cells)"
+    echo "OK: smoke tier (every CSV byte-identical to results/, finite cells)"
 }
 
 check_bench() {
@@ -157,11 +163,13 @@ cargo test -q --offline --workspace
 echo "==> cargo test -q --release --offline (perfbench's own tests)"
 cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 
-echo "==> par vs seq + interner/verify golden suites at A4A_THREADS=1,2,8"
+echo "==> par vs seq + interner/verify/co-sim stream golden suites at A4A_THREADS=1,2,8"
 for t in 1 2 8; do
     echo "    A4A_THREADS=$t"
     A4A_THREADS=$t cargo test -q --offline --test par_vs_seq \
         --test interner_golden --test verify_golden > /dev/null
+    A4A_THREADS=$t cargo test -q --offline -p a4a --test cosim_stream_golden \
+        --test event_stream_golden > /dev/null
 done
 echo "OK: differential + golden suites at every thread count"
 

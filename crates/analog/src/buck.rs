@@ -95,12 +95,11 @@ pub struct Buck {
     energy_in: f64,
     /// Cumulative energy delivered to the load (J).
     energy_out: f64,
-    /// RK2 scratch buffers, reused across steps so the integration hot
-    /// path is allocation-free (the testbench takes ~20k sub-0.5 ns
-    /// steps per 10 µs run). Contents are meaningless between steps.
-    k1_i: Vec<f64>,
+    /// RK2 midpoint currents (one per phase), overwritten by every step
+    /// so the integration hot path is allocation-free (the testbench
+    /// takes ~20k sub-0.5 ns steps per 10 µs run). Contents are
+    /// meaningless between steps.
     mid_i: Vec<f64>,
-    k2_i: Vec<f64>,
 }
 
 impl Buck {
@@ -160,9 +159,7 @@ impl Buck {
             switches: vec![SwitchState::Off; params.phases],
             current: vec![0.0; params.phases],
             voltage: 0.0,
-            k1_i: Vec::with_capacity(params.phases),
-            mid_i: Vec::with_capacity(params.phases),
-            k2_i: Vec::with_capacity(params.phases),
+            mid_i: vec![0.0; params.phases],
             params,
             time: 0.0,
             energy_in: 0.0,
@@ -337,90 +334,89 @@ impl Buck {
     }
 
     fn integrate(&mut self, dt: f64) {
-        let n = self.params.phases;
-        // The scratch buffers are taken out of `self` for the duration
-        // of the step so the `&self` derivative evaluations below can
-        // borrow freely; they are put back at the end, so steady state
-        // never allocates (capacity is retained across steps).
-        let mut k1_i = std::mem::take(&mut self.k1_i);
-        let mut mid_i = std::mem::take(&mut self.mid_i);
-        let mut k2_i = std::mem::take(&mut self.k2_i);
-        // k1 at the current state.
-        k1_i.clear();
-        k1_i.extend((0..n).map(|k| self.di_dt(k, self.current[k], self.voltage)));
-        let k1_v = self.dv_dt(&self.current, self.voltage);
-        // Midpoint state.
-        mid_i.clear();
-        mid_i.extend((0..n).map(|k| self.current[k] + 0.5 * dt * k1_i[k]));
-        let mid_v = self.voltage + 0.5 * dt * k1_v;
+        // Destructured so the derivative evaluations borrow the
+        // parameters while the state is written; `mid_i` is overwritten
+        // in place, so a step never allocates. Every value is
+        // computed by the same float operations in the same order as
+        // the textbook two-stage form (k1 into the midpoint, k2 into the
+        // advance), only without storing k1 and k2.
+        let Buck {
+            params: p,
+            switches,
+            current,
+            voltage,
+            time,
+            energy_in,
+            energy_out,
+            mid_i,
+        } = self;
+        let v = *voltage;
+        // k1 at the current state, straight into the midpoint state.
+        for ((mid, &i), &sw) in mid_i.iter_mut().zip(current.iter()).zip(switches.iter()) {
+            *mid = i + 0.5 * dt * di_dt(p, sw, i, i, v);
+        }
+        let k1_v = dv_dt(p, current, v);
+        let mid_v = v + 0.5 * dt * k1_v;
         // k2 at the midpoint.
-        k2_i.clear();
-        k2_i.extend((0..n).map(|k| self.di_dt(k, mid_i[k], mid_v)));
-        let k2_v = self.dv_dt(&mid_i, mid_v);
+        let k2_v = dv_dt(p, mid_i, mid_v);
         // Advance.
-        #[allow(clippy::needless_range_loop)]
-        for k in 0..n {
-            let before = self.current[k];
-            let mut after = before + dt * k2_i[k];
+        for ((i, &sw), &mid) in current.iter_mut().zip(switches.iter()).zip(mid_i.iter()) {
+            let before = *i;
+            let mut after = before + dt * di_dt(p, sw, before, mid, mid_v);
             // Discontinuous conduction: with both switches off the body
             // diodes cannot reverse the current through zero.
-            if self.switches[k] == SwitchState::Off
-                && before != 0.0
-                && after * before <= 0.0
-            {
+            if sw == SwitchState::Off && before != 0.0 && after * before <= 0.0 {
                 after = 0.0;
             }
-            self.current[k] = after;
+            *i = after;
         }
-        self.voltage += dt * k2_v;
-        self.time += dt;
+        *voltage += dt * k2_v;
+        *time += dt;
         // Energy bookkeeping (midpoint currents for consistency).
-        let supply_current: f64 = (0..n)
-            .map(|k| match self.switches[k] {
-                SwitchState::PmosOn => mid_i[k],
+        let supply_current: f64 = switches
+            .iter()
+            .zip(mid_i.iter())
+            .map(|(&sw, &mid)| match sw {
+                SwitchState::PmosOn => mid,
                 // PMOS body diode returns current to the supply.
-                SwitchState::Off if mid_i[k] < 0.0 => mid_i[k],
+                SwitchState::Off if mid < 0.0 => mid,
                 _ => 0.0,
             })
             .sum();
-        self.energy_in += self.params.vin * supply_current * dt;
-        self.energy_out += mid_v * mid_v / self.params.rload * dt;
-        self.k1_i = k1_i;
-        self.mid_i = mid_i;
-        self.k2_i = k2_i;
+        *energy_in += p.vin * supply_current * dt;
+        *energy_out += mid_v * mid_v / p.rload * dt;
     }
+}
 
-    fn di_dt(&self, phase: usize, i: f64, v: f64) -> f64 {
-        let p = &self.params;
-        let l = p.coil.inductance;
-        let node = match self.switches[phase] {
-            SwitchState::PmosOn => p.vin - i * p.rdson_p,
-            SwitchState::NmosOn => -i * p.rdson_n,
-            SwitchState::Off => {
-                // Which body diode conducts is decided by the *step-start*
-                // current, not the evaluation point: an RK2 midpoint that
-                // dips through zero must not flip to the opposite diode
-                // (that would inject a spurious current kick right at the
-                // DCM boundary).
-                let direction = self.current[phase];
-                if direction > 0.0 {
-                    // NMOS body diode conducts from ground.
-                    -p.vdiode
-                } else if direction < 0.0 {
-                    // PMOS body diode returns current to the supply.
-                    p.vin + p.vdiode
-                } else {
-                    return 0.0;
-                }
+/// Coil current derivative of one phase in switch state `sw` at current
+/// `i` and output voltage `v`. `direction` is the phase's step-start
+/// current: with both switches off it alone decides which body diode
+/// conducts, so an RK2 midpoint that dips through zero cannot flip to
+/// the opposite diode (that would inject a spurious current kick right
+/// at the DCM boundary).
+fn di_dt(p: &BuckParams, sw: SwitchState, direction: f64, i: f64, v: f64) -> f64 {
+    let node = match sw {
+        SwitchState::PmosOn => p.vin - i * p.rdson_p,
+        SwitchState::NmosOn => -i * p.rdson_n,
+        SwitchState::Off => {
+            if direction > 0.0 {
+                // NMOS body diode conducts from ground.
+                -p.vdiode
+            } else if direction < 0.0 {
+                // PMOS body diode returns current to the supply.
+                p.vin + p.vdiode
+            } else {
+                return 0.0;
             }
-        };
-        (node - v - i * p.coil.dcr) / l
-    }
+        }
+    };
+    (node - v - i * p.coil.dcr) / p.coil.inductance
+}
 
-    fn dv_dt(&self, currents: &[f64], v: f64) -> f64 {
-        let total: f64 = currents.iter().sum();
-        (total - v / self.params.rload) / self.params.cap
-    }
+/// Output capacitor voltage derivative for the given coil currents.
+fn dv_dt(p: &BuckParams, currents: &[f64], v: f64) -> f64 {
+    let total: f64 = currents.iter().sum();
+    (total - v / p.rload) / p.cap
 }
 
 impl fmt::Display for Buck {

@@ -24,29 +24,51 @@ pub struct Comparator {
     hysteresis: f64,
     delay: f64,
     state: bool,
+    /// The level the input must cross for the output to leave `state`
+    /// (the deassert level while asserted, the assert level otherwise).
+    /// Derived from the fields above; [`Comparator::arm`] refreshes it
+    /// whenever the state, threshold or forced output changes.
+    armed_level: f64,
+    /// `true` when that crossing is upward (input at or above
+    /// `armed_level`), `false` when downward.
+    armed_upward: bool,
 }
 
 impl Comparator {
     /// A comparator asserting when the input exceeds `threshold`.
     pub fn above(threshold: f64, hysteresis: f64, delay: f64) -> Comparator {
-        Comparator {
-            rise_above: true,
-            threshold,
-            hysteresis,
-            delay,
-            state: false,
-        }
+        Comparator::new(true, threshold, hysteresis, delay)
     }
 
     /// A comparator asserting when the input falls below `threshold`.
     pub fn below(threshold: f64, hysteresis: f64, delay: f64) -> Comparator {
-        Comparator {
-            rise_above: false,
+        Comparator::new(false, threshold, hysteresis, delay)
+    }
+
+    fn new(rise_above: bool, threshold: f64, hysteresis: f64, delay: f64) -> Comparator {
+        let mut c = Comparator {
+            rise_above,
             threshold,
             hysteresis,
             delay,
             state: false,
-        }
+            armed_level: 0.0,
+            armed_upward: false,
+        };
+        c.arm();
+        c
+    }
+
+    /// Recomputes the armed crossing from the state and threshold.
+    fn arm(&mut self) {
+        self.armed_level = if self.state {
+            self.deassert_level()
+        } else {
+            self.assert_level()
+        };
+        // Asserting crosses in the comparator's own direction,
+        // deasserting in the opposite one.
+        self.armed_upward = self.rise_above != self.state;
     }
 
     /// The current (already-propagated) output.
@@ -58,6 +80,7 @@ impl Comparator {
     /// known operating point).
     pub fn set_output(&mut self, state: bool) {
         self.state = state;
+        self.arm();
     }
 
     /// Changes the reference threshold (the paper's OV-mode switch of
@@ -65,6 +88,7 @@ impl Comparator {
     /// against the new value.
     pub fn set_threshold(&mut self, threshold: f64) {
         self.threshold = threshold;
+        self.arm();
     }
 
     /// The active threshold.
@@ -94,18 +118,8 @@ impl Comparator {
     /// `(t1, x1)`. Returns the output change — `(event_time, new_state)`
     /// including propagation delay — or `None`.
     pub fn update(&mut self, t0: f64, x0: f64, t1: f64, x1: f64) -> Option<(f64, bool)> {
-        let (level, target_state) = if self.state {
-            (self.deassert_level(), false)
-        } else {
-            (self.assert_level(), true)
-        };
-        let beyond = |x: f64| {
-            if self.rise_above == target_state {
-                x >= level
-            } else {
-                x <= level
-            }
-        };
+        let (level, upward) = (self.armed_level, self.armed_upward);
+        let beyond = |x: f64| if upward { x >= level } else { x <= level };
         if !beyond(x1) {
             return None;
         }
@@ -115,8 +129,9 @@ impl Comparator {
         } else {
             t0 + (level - x0) / (x1 - x0) * (t1 - t0)
         };
-        self.state = target_state;
-        Some((t_cross + self.delay, target_state))
+        self.state = !self.state;
+        self.arm();
+        Some((t_cross + self.delay, self.state))
     }
 }
 
@@ -183,6 +198,117 @@ mod tests {
         // Already asserted: rising past the deassert level releases.
         let (_, s) = c.update(0.0, 3.0, 1.0, 3.5).unwrap();
         assert!(!s);
+    }
+
+    /// Reference comparator without the cached crossing: it derives the
+    /// level and direction from the formula on every update.
+    struct Reference {
+        rise_above: bool,
+        threshold: f64,
+        hysteresis: f64,
+        delay: f64,
+        state: bool,
+    }
+
+    impl Reference {
+        fn update(&mut self, t0: f64, x0: f64, t1: f64, x1: f64) -> Option<(f64, bool)> {
+            let (lo, hi) = (
+                self.threshold - self.hysteresis / 2.0,
+                self.threshold + self.hysteresis / 2.0,
+            );
+            let (level, target_state) = match (self.rise_above, self.state) {
+                (true, false) => (hi, true),
+                (true, true) => (lo, false),
+                (false, false) => (lo, true),
+                (false, true) => (hi, false),
+            };
+            let beyond = |x: f64| {
+                if self.rise_above == target_state {
+                    x >= level
+                } else {
+                    x <= level
+                }
+            };
+            if !beyond(x1) {
+                return None;
+            }
+            let t_cross = if beyond(x0) || (x1 - x0).abs() < f64::EPSILON {
+                t0
+            } else {
+                t0 + (level - x0) / (x1 - x0) * (t1 - t0)
+            };
+            self.state = target_state;
+            Some((t_cross + self.delay, target_state))
+        }
+    }
+
+    /// The cached armed level and direction always equal the
+    /// assert/deassert formula for the current state, and updates
+    /// return bit-identical results to the uncached reference, over
+    /// random interleavings of `update`, `set_threshold` and
+    /// `set_output`.
+    #[test]
+    fn armed_crossing_matches_the_level_formula() {
+        use a4a_rt::prop::{self, Gen, PropResult};
+        use a4a_rt::{prop_assert, prop_assert_eq};
+
+        let crossings = std::cell::Cell::new(0usize);
+        prop::check("armed_crossing_matches_the_level_formula", |g: &mut Gen| -> PropResult {
+            let rise_above = g.bool();
+            let threshold = g.f64(-0.2..0.2);
+            let hysteresis = g.f64(0.0..0.02);
+            let delay = g.f64(0.0..2e-9);
+            let mut c = if rise_above {
+                Comparator::above(threshold, hysteresis, delay)
+            } else {
+                Comparator::below(threshold, hysteresis, delay)
+            };
+            let mut r = Reference {
+                rise_above,
+                threshold,
+                hysteresis,
+                delay,
+                state: false,
+            };
+            let (mut t, mut x) = (0.0, g.f64(-0.3..0.3));
+            for _ in 0..g.usize(1..200) {
+                match g.choice(8) {
+                    0 => {
+                        let th = g.f64(-0.2..0.2);
+                        c.set_threshold(th);
+                        r.threshold = th;
+                    }
+                    1 => {
+                        let out = g.bool();
+                        c.set_output(out);
+                        r.state = out;
+                    }
+                    _ => {
+                        let (t1, x1) = (t + g.f64(1e-12..1e-9), g.f64(-0.3..0.3));
+                        let got = c.update(t, x, t1, x1);
+                        let want = r.update(t, x, t1, x1);
+                        prop_assert_eq!(
+                            got.map(|(te, v)| (te.to_bits(), v)),
+                            want.map(|(te, v)| (te.to_bits(), v))
+                        );
+                        if got.is_some() {
+                            crossings.set(crossings.get() + 1);
+                        }
+                        (t, x) = (t1, x1);
+                    }
+                }
+                let formula = if c.state {
+                    c.deassert_level()
+                } else {
+                    c.assert_level()
+                };
+                prop_assert_eq!(c.armed_level.to_bits(), formula.to_bits());
+                prop_assert_eq!(c.armed_upward, c.rise_above != c.state);
+                prop_assert!(c.state == r.state && c.threshold == r.threshold);
+            }
+            Ok(())
+        });
+        assert!(crossings.get() > 1000, "too few crossings: {}", crossings.get());
     }
 
     #[test]

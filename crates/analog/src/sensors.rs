@@ -233,6 +233,10 @@ impl SensorBank {
             assert_eq!(self.last_i.len(), i.len(), "phase count changed");
             (self.last_t, self.last_v)
         } else {
+            // No earlier sample: the first segment is flat at (v, i)
+            // from t0.
+            self.last_i.clear();
+            self.last_i.extend_from_slice(i);
             (t0, v)
         };
         let start = events.len();
@@ -244,17 +248,18 @@ impl SensorBank {
         push(SensorKind::Hl, self.hl.update(prev_t, prev_v, t, v));
         push(SensorKind::Uv, self.uv.update(prev_t, prev_v, t, v));
         push(SensorKind::Ov, self.ov.update(prev_t, prev_v, t, v));
-        for k in 0..i.len() {
-            let prev_ik = if self.has_last { self.last_i[k] } else { i[k] };
-            push(SensorKind::Oc(k), self.oc[k].update(prev_t, prev_ik, t, i[k]));
-            push(SensorKind::Zc(k), self.zc[k].update(prev_t, prev_ik, t, i[k]));
+        for (k, (last, &ik)) in self.last_i.iter_mut().zip(i).enumerate() {
+            push(SensorKind::Oc(k), self.oc[k].update(prev_t, *last, t, ik));
+            push(SensorKind::Zc(k), self.zc[k].update(prev_t, *last, t, ik));
+            *last = ik;
         }
         self.has_last = true;
         self.last_t = t;
         self.last_v = v;
-        self.last_i.clear();
-        self.last_i.extend_from_slice(i);
-        events[start..].sort_by(|a, b| a.time.total_cmp(&b.time));
+        // Most windows cross nothing; a lone event is already sorted.
+        if events.len() - start > 1 {
+            events[start..].sort_by(|a, b| a.time.total_cmp(&b.time));
+        }
     }
 }
 

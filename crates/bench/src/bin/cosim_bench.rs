@@ -13,17 +13,15 @@
 //! * `cosim/fig7a_cell_async` — one Figure 7a grid cell (4.7 µH, 6 Ω,
 //!   async, 8 µs), the unit of work every sweep multiplies.
 //!
-//! Results go to stdout as JSON lines and to `BENCH_cosim.json` at the
-//! repo root (override with `A4A_BENCH_OUT`), the tracked single-thread
-//! baseline subsequent PRs regress against. `A4A_BENCH_SAMPLES` trims
-//! the sample count for quick CI smoke runs.
-
-use std::fs;
-use std::path::{Path, PathBuf};
+//! Results go to stdout as JSON lines. When `A4A_BENCH_OUT` is set
+//! they also go to that file; a plain run never touches the tracked
+//! single-thread baseline `BENCH_cosim.json` (refresh it from the repo
+//! root with `A4A_BENCH_OUT=BENCH_cosim.json`). `A4A_BENCH_SAMPLES`
+//! trims the sample count for quick CI smoke runs.
 
 use a4a::scenario::{self, ControllerKind};
 use a4a_analog::{metrics, Buck, BuckParams};
-use a4a_rt::bench::Bencher;
+use a4a_rt::bench::{write_results, Bencher};
 
 fn main() {
     let bencher = Bencher::new();
@@ -64,14 +62,7 @@ fn main() {
         metrics::peak_current(tb.waveform())
     }));
 
-    let path = std::env::var_os("A4A_BENCH_OUT")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_cosim.json"));
-    let mut out = String::new();
-    for r in &results {
-        out.push_str(&r.json_line());
-        out.push('\n');
+    if let Some(path) = write_results(&results).expect("write A4A_BENCH_OUT") {
+        eprintln!("wrote {}", path.display());
     }
-    fs::write(&path, &out).expect("write BENCH_cosim.json");
-    eprintln!("wrote {}", path.display());
 }

@@ -28,16 +28,14 @@
 //!   with initial values inferred, state graph, sanity checks) on three
 //!   composed 16-signal pipelines: 48 signals, 32 768 states.
 //!
-//! Results go to stdout as JSON lines and to `BENCH_synth.json` at the
-//! repo root (override with `A4A_BENCH_OUT`), the tracked single-thread
-//! baseline subsequent PRs regress against. `A4A_BENCH_SAMPLES` trims
-//! the sample count for quick CI smoke runs.
-
-use std::fs;
-use std::path::{Path, PathBuf};
+//! Results go to stdout as JSON lines. When `A4A_BENCH_OUT` is set
+//! they also go to that file; a plain run never touches the tracked
+//! single-thread baseline `BENCH_synth.json` (refresh it from the repo
+//! root with `A4A_BENCH_OUT=BENCH_synth.json`). `A4A_BENCH_SAMPLES`
+//! trims the sample count for quick CI smoke runs.
 
 use a4a_boolmin::Minimize;
-use a4a_rt::bench::Bencher;
+use a4a_rt::bench::{write_results, Bencher};
 use a4a_rt::Rng;
 use a4a_stg::prop_support;
 use a4a_synth::{extract_next_state, synthesize, verify_si, Region, SynthOptions, SynthStyle};
@@ -178,14 +176,7 @@ fn main() {
         sg.state_count()
     }));
 
-    let path = std::env::var_os("A4A_BENCH_OUT")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_synth.json"));
-    let mut out = String::new();
-    for r in &results {
-        out.push_str(&r.json_line());
-        out.push('\n');
+    if let Some(path) = write_results(&results).expect("write A4A_BENCH_OUT") {
+        eprintln!("wrote {}", path.display());
     }
-    fs::write(&path, &out).expect("write BENCH_synth.json");
-    eprintln!("wrote {}", path.display());
 }

@@ -233,6 +233,7 @@ impl TestbenchBuilder {
             gn: vec![false; phases],
             short_circuits: 0,
             last_delivered: Time::ZERO,
+            wake: None,
             debug_tracks: Vec::new(),
             tracks_buf: Vec::new(),
             events_buf: Vec::new(),
@@ -288,6 +289,10 @@ pub struct Testbench<C: BuckController> {
     /// can report it).
     short_circuits: usize,
     last_delivered: Time,
+    /// The controller's next wakeup, read at the start of every window
+    /// and again after every controller call (in `drain_commands`), so
+    /// the delivery loop never queries the controller in between.
+    wake: Option<Time>,
     /// Last seen controller debug-track values (for change detection).
     /// Tracks the controller stops reporting are dropped from this set,
     /// so a reappearing track is treated as new.
@@ -378,7 +383,8 @@ impl<C: BuckController> Testbench<C> {
                     tn = tn.min(tp);
                 }
             }
-            if let Some(w) = self.ctrl.next_wakeup() {
+            self.wake = self.ctrl.next_wakeup();
+            if let Some(w) = self.wake {
                 let w = w.as_secs();
                 if w > t {
                     tn = tn.min(w);
@@ -461,11 +467,7 @@ impl<C: BuckController> Testbench<C> {
             // Earliest actionable item ≤ tn.
             let t_sensor = self.events_buf.get(cursor).map(|e| e.time);
             let t_pend = self.pending.front().map(|p| p.0).filter(|&x| x <= tn);
-            let t_wake = self
-                .ctrl
-                .next_wakeup()
-                .map(|w| w.as_secs())
-                .filter(|&w| w <= tn);
+            let t_wake = self.wake.map(|w| w.as_secs()).filter(|&w| w <= tn);
 
             let next = [t_sensor, t_pend, t_wake]
                 .into_iter()
@@ -494,7 +496,7 @@ impl<C: BuckController> Testbench<C> {
             cursor += 1;
             // Let the controller's internal clock catch up first.
             let te = self.clamp_time(ev.time)?;
-            if let Some(w) = self.ctrl.next_wakeup() {
+            if let Some(w) = self.wake {
                 if w <= te {
                     self.ctrl.on_wakeup(te);
                     self.drain_commands();
@@ -592,6 +594,7 @@ impl<C: BuckController> Testbench<C> {
             }
         }
         self.cmds_buf = cmds;
+        self.wake = self.ctrl.next_wakeup();
     }
 }
 
@@ -808,6 +811,64 @@ mod tests {
         tracks.borrow_mut().push((dbg, true));
         tb.run_until(1.5e-9);
         assert_eq!(count(&tb), 2, "reappearing track records again");
+    }
+
+    #[test]
+    fn window_rate_calls_follow_the_call_contract() {
+        use std::cell::Cell;
+
+        /// Counts every call into the wrapped controller.
+        struct Counting {
+            inner: AsyncController,
+            next_wakeup: Cell<u64>,
+            debug_tracks: Cell<u64>,
+            interactions: u64,
+        }
+        impl BuckController for Counting {
+            fn phases(&self) -> usize {
+                self.inner.phases()
+            }
+            fn on_sensor(&mut self, t: Time, kind: a4a_analog::SensorKind, value: bool) {
+                self.interactions += 1;
+                self.inner.on_sensor(t, kind, value);
+            }
+            fn on_gate_ack(&mut self, t: Time, phase: usize, pmos: bool, value: bool) {
+                self.interactions += 1;
+                self.inner.on_gate_ack(t, phase, pmos, value);
+            }
+            fn next_wakeup(&self) -> Option<Time> {
+                self.next_wakeup.set(self.next_wakeup.get() + 1);
+                self.inner.next_wakeup()
+            }
+            fn on_wakeup(&mut self, t: Time) {
+                self.interactions += 1;
+                self.inner.on_wakeup(t);
+            }
+            fn take_commands(&mut self) -> Vec<TimedCommand> {
+                self.inner.take_commands()
+            }
+            fn debug_tracks_into(&self, out: &mut Vec<(a4a_analog::TrackId, bool)>) {
+                self.debug_tracks.set(self.debug_tracks.get() + 1);
+                self.inner.debug_tracks_into(out);
+            }
+        }
+
+        let ctrl = Counting {
+            inner: AsyncController::new(4, AsyncTiming::default()),
+            next_wakeup: Cell::new(0),
+            debug_tracks: Cell::new(0),
+            interactions: 0,
+        };
+        // 3 us of startup: no load step, so no OV mode (whose sensor
+        // re-evaluation batches several calls into one drain).
+        let mut tb = TestbenchBuilder::new().build(ctrl);
+        tb.run_until(3e-6);
+        let c = tb.controller();
+        let windows = c.debug_tracks.get();
+        assert!(windows >= 6000, "at least one window per 0.5 ns: {windows}");
+        assert!(c.interactions > 100, "{}", c.interactions);
+        // One read per window plus one per interaction's drain.
+        assert_eq!(c.next_wakeup.get(), windows + c.interactions);
     }
 
     #[test]

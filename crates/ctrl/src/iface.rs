@@ -37,6 +37,24 @@ pub struct TimedCommand {
 /// the controller's internal timers/clock ([`BuckController::on_wakeup`]
 /// at [`BuckController::next_wakeup`] deadlines), and drains the
 /// produced [`TimedCommand`]s after every interaction.
+///
+/// # Call contract
+///
+/// The testbench integrates in windows (at most one analog step each)
+/// and calls the window-rate methods sparingly:
+///
+/// - [`BuckController::debug_tracks_into`] exactly once per window,
+///   after the window's deliveries.
+/// - [`BuckController::next_wakeup`] once at the start of every window,
+///   and again after every interaction: each `on_*` call (or the batch
+///   of sensor events an OV-mode switch re-evaluates) is followed by a
+///   command drain, which re-reads it. In between, the testbench uses
+///   the value it read.
+///
+/// `next_wakeup` must therefore depend only on state that changes
+/// through the `&mut self` methods; a wakeup that moved through
+/// interior mutability or outside input would be missed until the next
+/// window starts.
 pub trait BuckController {
     /// Number of buck phases driven.
     fn phases(&self) -> usize;
@@ -50,7 +68,8 @@ pub trait BuckController {
     fn on_gate_ack(&mut self, t: Time, phase: usize, pmos: bool, value: bool);
 
     /// The controller's next internal deadline (clock edge or timer),
-    /// if any.
+    /// if any. Read once per window and after every interaction; see
+    /// the call contract above.
     fn next_wakeup(&self) -> Option<Time>;
 
     /// Advances internal time to `t`, processing due clock edges and
@@ -72,8 +91,8 @@ pub trait BuckController {
     /// Appends the controller's internal debug tracks for waveform
     /// recording (e.g. `act`, `get & !pass`) as interned-id/value
     /// pairs. Track names must be interned once at construction
-    /// ([`TrackId::intern`]) so this per-window call never allocates.
-    /// Default: none.
+    /// ([`TrackId::intern`]) so this call, made exactly once per
+    /// integration window, never allocates. Default: none.
     fn debug_tracks_into(&self, _out: &mut Vec<(TrackId, bool)>) {}
 }
 

@@ -49,7 +49,8 @@ impl Default for GateTiming {
 pub struct SyncParams {
     /// `fsm_clk` frequency in Hz (the paper sweeps 100 MHz–1 GHz).
     pub fsm_clk_hz: f64,
-    /// Synchroniser depth (2 flops in the paper).
+    /// Synchroniser depth (2 flops in the paper); at most 64, which
+    /// [`crate::SyncController::new`] asserts.
     pub sync_stages: u32,
     /// Metastability model for the first synchroniser flop: a marginal
     /// capture resolves to the old value with the model's probability,

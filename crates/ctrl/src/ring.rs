@@ -644,11 +644,10 @@ impl BuckController for AsyncController {
     }
 
     fn on_wakeup(&mut self, t: Time) {
-        while let Some(at) = self.sched.next_time() {
-            if at > t {
+        while self.sched.peek_time().is_some_and(|at| at <= t) {
+            let Some((time, act)) = self.sched.pop() else {
                 break;
-            }
-            let (time, act) = self.sched.pop().expect("peeked nonempty");
+            };
             self.process(time, act);
         }
     }

@@ -11,15 +11,11 @@
 //! periods, and an unserved activation pulse is simply lost when the
 //! activator moves on.
 
+use a4a_a2a::MetaState;
 use a4a_analog::{SensorKind, TrackId};
 use a4a_sim::Time;
 
 use crate::{BuckController, Command, SyncParams, TimedCommand};
-
-/// Internal alias module so the synchroniser signature stays short.
-mod a4a_a2a_meta {
-    pub use a4a_a2a::MetaState;
-}
 
 /// Charging state of one phase FSM (mirrors the asynchronous states).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,14 +29,17 @@ enum PState {
     TurnNmosOff { recharge: bool },
 }
 
-/// A 2-flop synchroniser pipeline for one asynchronous input bit.
+/// A flop-chain synchroniser for one asynchronous input bit, held as a
+/// shift register: bit 0 is the first flop, bit `depth - 1` the last.
 #[derive(Debug, Clone)]
 struct Synchroniser {
     raw: bool,
     /// The raw value at the previous clock edge; a difference marks a
     /// marginal (metastability-prone) capture window.
     prev_raw: bool,
-    stages: Vec<bool>,
+    stages: u64,
+    /// Number of flops, at most 64; zero passes `raw` straight through.
+    depth: u32,
 }
 
 impl Synchroniser {
@@ -48,7 +47,8 @@ impl Synchroniser {
         Synchroniser {
             raw: false,
             prev_raw: false,
-            stages: vec![false; depth as usize],
+            stages: 0,
+            depth,
         }
     }
 
@@ -56,28 +56,31 @@ impl Synchroniser {
     /// A marginal capture (the raw value changed since the last edge)
     /// may go metastable and resolve to the *old* value, costing one
     /// extra period — the paper's footnote 1.
-    fn clock(&mut self, meta: &mut Option<a4a_a2a_meta::MetaState>) {
-        for i in (1..self.stages.len()).rev() {
-            self.stages[i] = self.stages[i - 1];
-        }
+    fn clock(&mut self, meta: &mut Option<MetaState>) {
         let marginal = self.raw != self.prev_raw;
         self.prev_raw = self.raw;
-        if let Some(first) = self.stages.first_mut() {
-            let mut captured = self.raw;
-            if marginal && captured != *first {
-                if let Some(state) = meta {
-                    if state.resolution_delay() > a4a_sim::Time::ZERO {
-                        captured = *first; // resolved the wrong way
-                    }
+        if self.depth == 0 {
+            return;
+        }
+        let first = self.stages & 1 == 1;
+        let mut captured = self.raw;
+        if marginal && captured != first {
+            if let Some(state) = meta {
+                if state.resolution_delay() > Time::ZERO {
+                    captured = first; // resolved the wrong way
                 }
             }
-            *first = captured;
         }
+        let mask = u64::MAX >> (64 - self.depth);
+        self.stages = ((self.stages << 1) | u64::from(captured)) & mask;
     }
 
     /// The synchronised value visible to the FSM.
     fn out(&self) -> bool {
-        *self.stages.last().unwrap_or(&self.raw)
+        match self.depth {
+            0 => self.raw,
+            d => (self.stages >> (d - 1)) & 1 == 1,
+        }
     }
 }
 
@@ -147,7 +150,7 @@ pub struct SyncController {
     act_reload: u64,
     act_pointer: usize,
     ov_mode: bool,
-    meta: Option<a4a_a2a_meta::MetaState>,
+    meta: Option<MetaState>,
     out: Vec<TimedCommand>,
     /// Interned name of the `act` debug track.
     track_act: TrackId,
@@ -158,9 +161,15 @@ impl SyncController {
     ///
     /// # Panics
     ///
-    /// Panics when `phases` is zero.
+    /// Panics when `phases` is zero or when `params.sync_stages`
+    /// exceeds 64 (each synchroniser is a 64-bit shift register).
     pub fn new(phases: usize, params: SyncParams) -> Self {
         assert!(phases > 0, "at least one phase required");
+        assert!(
+            params.sync_stages <= 64,
+            "at most 64 synchroniser stages, got {}",
+            params.sync_stages
+        );
         let period = params.period();
         let reload = (params.policy.activation_period.as_fs() + period.as_fs() - 1)
             / period.as_fs().max(1);
@@ -683,6 +692,98 @@ mod tests {
             meta >= clean + 9.0,
             "metastable capture must cost at least a period: {clean} vs {meta}"
         );
+    }
+
+    /// Reference synchroniser: a `Vec<bool>` flop chain, one element
+    /// per flop.
+    struct VecSynchroniser {
+        raw: bool,
+        prev_raw: bool,
+        stages: Vec<bool>,
+    }
+
+    impl VecSynchroniser {
+        fn clock(&mut self, meta: &mut Option<a4a_a2a::MetaState>) {
+            for i in (1..self.stages.len()).rev() {
+                self.stages[i] = self.stages[i - 1];
+            }
+            let marginal = self.raw != self.prev_raw;
+            self.prev_raw = self.raw;
+            if let Some(first) = self.stages.first_mut() {
+                let mut captured = self.raw;
+                if marginal && captured != *first {
+                    if let Some(state) = meta {
+                        if state.resolution_delay() > Time::ZERO {
+                            captured = *first;
+                        }
+                    }
+                }
+                *first = captured;
+            }
+        }
+
+        fn out(&self) -> bool {
+            *self.stages.last().unwrap_or(&self.raw)
+        }
+    }
+
+    /// The bit-register synchroniser matches the `Vec` flop chain at
+    /// depths 0..=8 under random input toggles, with metastable
+    /// captures drawn from identically seeded states: the same output
+    /// after every edge, and the same number of draws from the
+    /// metastability stream.
+    #[test]
+    fn bit_register_synchroniser_matches_vec_reference() {
+        use a4a_rt::prop::{self, Gen, PropResult};
+        use a4a_rt::prop_assert_eq;
+
+        prop::check("bit_register_synchroniser_matches_vec_reference", |g: &mut Gen| -> PropResult {
+            let depth = g.usize(0..9) as u32;
+            let probability = g.f64(0.05..1.0);
+            let meta = a4a_a2a::MetaParams::with_seed(probability, ns(0.5), g.any_u64());
+            let mut bits = Synchroniser::new(depth);
+            let mut reference = VecSynchroniser {
+                raw: false,
+                prev_raw: false,
+                stages: vec![false; depth as usize],
+            };
+            let (mut meta_bits, mut meta_ref) =
+                (Some(meta.clone().into_state()), Some(meta.into_state()));
+            for _ in 0..g.usize(1..300) {
+                if g.choice(3) == 0 {
+                    let raw = g.bool();
+                    bits.raw = raw;
+                    reference.raw = raw;
+                }
+                bits.clock(&mut meta_bits);
+                reference.clock(&mut meta_ref);
+                prop_assert_eq!(bits.out(), reference.out(), "depth {}", depth);
+            }
+            // Both consumed the same number of draws.
+            let next = |m: &mut Option<a4a_a2a::MetaState>| m.as_mut().map(|m| m.resolution_delay());
+            prop_assert_eq!(next(&mut meta_bits), next(&mut meta_ref));
+            Ok(())
+        });
+    }
+
+    #[test]
+    fn sixty_four_stage_synchroniser_delays_by_64_edges() {
+        let mut sync = Synchroniser::new(64);
+        sync.raw = true;
+        for _ in 0..63 {
+            sync.clock(&mut None);
+            assert!(!sync.out());
+        }
+        sync.clock(&mut None);
+        assert!(sync.out(), "the 64th edge reaches the last flop");
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 synchroniser stages")]
+    fn more_than_64_sync_stages_are_rejected() {
+        let mut params = SyncParams::at_mhz(333.0);
+        params.sync_stages = 65;
+        let _ = SyncController::new(1, params);
     }
 
     #[test]

@@ -120,6 +120,25 @@ impl Bencher {
     }
 }
 
+/// Writes `results` as JSON lines to the file named by the
+/// `A4A_BENCH_OUT` environment variable and returns that path; does
+/// nothing and returns `None` when it is unset. The lines have already
+/// gone to stdout, so a plain run never touches a tracked baseline —
+/// refreshing `BENCH_*.json` takes an explicit
+/// `A4A_BENCH_OUT=BENCH_<name>.json`.
+///
+/// # Errors
+///
+/// Returns the I/O error when the file cannot be written.
+pub fn write_results(results: &[BenchResult]) -> std::io::Result<Option<std::path::PathBuf>> {
+    let Some(path) = std::env::var_os("A4A_BENCH_OUT") else {
+        return Ok(None);
+    };
+    let out: String = results.iter().map(|r| r.json_line() + "\n").collect();
+    std::fs::write(&path, out)?;
+    Ok(Some(path.into()))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,5 +1,6 @@
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::{SimError, Time};
 
@@ -38,10 +39,37 @@ pub struct Scheduler<E> {
     /// Membership here is what makes [`Scheduler::cancel`] reject stale
     /// keys in O(1), and `pending.len()` is the exact pending count —
     /// the heap may still hold cancelled entries awaiting lazy removal.
-    pending: HashSet<u64>,
+    pending: SeqSet,
     /// Cancelled-but-not-yet-popped sequence numbers. Always a subset of
     /// the heap's entries, so it cannot grow unboundedly.
-    cancelled: HashSet<u64>,
+    cancelled: SeqSet,
+}
+
+/// A set of the scheduler's own sequence numbers.
+type SeqSet = HashSet<u64, BuildHasherDefault<SeqHasher>>;
+
+/// One multiply by an odd constant (Fibonacci hashing) instead of
+/// SipHash: the keys are sequence numbers this scheduler issued, never
+/// attacker-chosen, so flooding resistance buys nothing. Consecutive
+/// keys stay distinct in the low bits (the bucket index) and are mixed
+/// into the high bits (the probe tag).
+#[derive(Debug, Default)]
+struct SeqHasher(u64);
+
+impl Hasher for SeqHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0.rotate_left(8) ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = x.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -80,8 +108,8 @@ impl<E> Scheduler<E> {
             heap: BinaryHeap::new(),
             next_seq: 0,
             now: Time::ZERO,
-            pending: HashSet::new(),
-            cancelled: HashSet::new(),
+            pending: SeqSet::default(),
+            cancelled: SeqSet::default(),
         }
     }
 
@@ -183,10 +211,15 @@ impl<E> Scheduler<E> {
     }
 
     /// The timestamp of the earliest pending (non-cancelled) event,
-    /// without mutating the queue. Linear scan — intended for the small
-    /// queues of behavioural models; prefer [`Scheduler::peek_time`] in
-    /// tight loops that can take `&mut self`.
+    /// without mutating the queue. Reads the heap top when that entry is
+    /// live (always, for a queue nothing was cancelled from); otherwise
+    /// falls back to a linear scan, so prefer [`Scheduler::peek_time`]
+    /// in tight loops that cancel and can take `&mut self`.
     pub fn next_time(&self) -> Option<Time> {
+        let top = self.heap.peek()?;
+        if !self.cancelled.contains(&top.seq) {
+            return Some(top.time);
+        }
         self.heap
             .iter()
             .filter(|e| !self.cancelled.contains(&e.seq))

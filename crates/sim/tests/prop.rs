@@ -136,6 +136,60 @@ fn scheduler_model_interleaved_churn() {
     });
 }
 
+/// `next_time` reads the heap top when that entry is live and scans
+/// otherwise; both paths must agree with a linear scan of a reference
+/// model over any schedule/cancel/pop sequence. Cancels often target
+/// the earliest event, so a cancelled heap top (the scanning path) is
+/// common; `pop` (not `peek_time`) drains, so cancelled entries linger
+/// in the heap.
+#[test]
+fn scheduler_next_time_matches_linear_scan() {
+    let scans = std::cell::Cell::new(0usize);
+    prop::check("scheduler_next_time_matches_linear_scan", |g: &mut Gen| -> PropResult {
+        let ops = g.usize(1..150);
+        let mut sched: Scheduler<u64> = Scheduler::new();
+        // Reference: (time, seq, key) of every pending event.
+        let mut pending: Vec<(Time, u64, EventKey)> = Vec::new();
+        let mut next_seq = 0u64;
+        for _ in 0..ops {
+            match g.choice(5) {
+                0 | 1 => {
+                    let t = sched.now().saturating_add(Time::from_fs(g.u64(0..300)));
+                    let key = sched.schedule(t, next_seq);
+                    pending.push((t, next_seq, key));
+                    next_seq += 1;
+                }
+                2 => {
+                    // Cancel the earliest pending event.
+                    if let Some(pos) = (0..pending.len()).min_by_key(|&k| (pending[k].0, pending[k].1)) {
+                        prop_assert!(sched.cancel(pending[pos].2));
+                        pending.remove(pos);
+                        scans.set(scans.get() + 1);
+                    }
+                }
+                3 => {
+                    // Cancel an arbitrary pending event.
+                    if !pending.is_empty() {
+                        let pos = g.usize(0..pending.len());
+                        prop_assert!(sched.cancel(pending[pos].2));
+                        pending.remove(pos);
+                    }
+                }
+                _ => {
+                    let expect = pending.iter().map(|&(t, s, _)| (t, s)).min();
+                    prop_assert_eq!(sched.pop(), expect);
+                    pending.retain(|&(_, s, _)| Some(s) != expect.map(|e| e.1));
+                }
+            }
+            let scan = pending.iter().map(|&(t, _, _)| t).min();
+            prop_assert_eq!(sched.next_time(), scan, "next_time disagrees with a linear scan");
+            prop_assert_eq!(sched.len(), pending.len());
+        }
+        Ok(())
+    });
+    assert!(scans.get() > 100, "cancelled heap tops too rare: {}", scans.get());
+}
+
 /// `peek_time` (mutating, lazy-pruning) and `next_time` (immutable,
 /// scanning) agree after any cancellation pattern, and both agree with
 /// what `pop` then delivers.
